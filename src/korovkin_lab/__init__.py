@@ -39,6 +39,7 @@ from .operators import (
     residual_table,
 )
 from .summability import (
+    KINDS,
     IdealSpec,
     MatrixSpec,
     MethodSpec,
@@ -52,10 +53,7 @@ from .summability import (
     identity_matrix,
     is_modulus,
     method_curve,
-    residual_almost,
-    residual_norm,
-    residual_statistical,
-    residual_strong_wp,
+    residual,
 )
 
 __version__ = "0.1.0"

@@ -15,9 +15,8 @@ import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .operators import MAX_BERNSTEIN_INDEX
 from .scenarios import REGISTRY, ScenarioResult
-
-THREADS_ENV = "KOROVKIN_LAB_THREADS"
 
 
 @dataclass
@@ -89,7 +88,7 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             from .summability import MethodSpec
             try:
                 MethodSpec.from_dict(method)
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 errors.append(f"method: {exc}")
         else:
             errors.append("method: must be an object")
@@ -103,20 +102,14 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
 
     if errors:
         return None, sorted(errors)
-    return ExperimentConfig(scenario=scenario, method=method, operator=operator,
-                            N=N, tau=tau, epsilon=epsilon, grid_m=grid_m,
-                            seed=seed, output_dir=output_dir, n0=n0), []
-
-
-def _read_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if threads < 0:
-        raise ValueError(f"{THREADS_ENV} must be >= 0 (0 = auto), got {threads}")
-    return threads
+    cfg = ExperimentConfig(scenario=scenario, method=method, operator=operator,
+                           N=N, tau=tau, epsilon=epsilon, grid_m=grid_m,
+                           seed=seed, output_dir=output_dir, n0=n0)
+    depth = entry.bernstein_depth(cfg) if entry.bernstein_depth else 0
+    if depth > MAX_BERNSTEIN_INDEX:
+        return None, [f"{'n0' if n0 else 'N'}: the run reaches Bernstein index "
+                      f"{depth}, above the cap {MAX_BERNSTEIN_INDEX}"]
+    return cfg, []
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -131,13 +124,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_outputs(result: ScenarioResult, cfg: ExperimentConfig,
-                  threads: int) -> None:
+def write_outputs(result: ScenarioResult, cfg: ExperimentConfig) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = {
         "config": asdict(cfg),
-        "threads": threads,
         "scenario": result.name,
         "verdicts": result.verdicts,
         "expected": result.expected,
@@ -156,18 +147,13 @@ def write_outputs(result: ScenarioResult, cfg: ExperimentConfig,
 
 
 def run(cfg: ExperimentConfig) -> int:
-    try:
-        threads = _read_threads()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     entry = REGISTRY[cfg.scenario]
     try:
         result = entry.runner(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_outputs(result, cfg, threads)
+    write_outputs(result, cfg)
     for line in result.summary_lines:
         print(line)
     if not result.matched:

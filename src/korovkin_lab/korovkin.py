@@ -25,16 +25,15 @@ import numpy as np
 from .funcspace import Grid, SampledFunction, constant, sample, sup_norm
 from .operators import OperatorSequence, named_operator, residual_table
 from .summability import (
-    IdealSpec,
-    MatrixSpec,
+    KINDS,
     MethodSpec,
     ResidualCurve,
     VERDICT_CONSISTENT,
     VERDICT_INCONSISTENT,
-    cesaro_matrix,
     curve_indices,
-    decide_verdict,
+    decide_verdict,  # perfbench/tracing.py wraps korovkin.decide_verdict
     method_curve,
+    statistical_from_norms,
 )
 
 #: denominators below this are reported as undefined ratios, never divided
@@ -193,18 +192,21 @@ class KorovkinReport:
     def probes_consistent(self) -> bool:
         return all(c.verdict == VERDICT_CONSISTENT for c in self.probe_curves.values())
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def curve(c: ResidualCurve):
             return {"points": [[n, v] for n, v in c.points], "verdict": c.verdict}
 
-        return json.dumps({
-            "method": json.loads(self.method.to_json()),
+        return {
+            "method": self.method.to_dict(),
             "test_curves": {nm: curve(c) for nm, c in self.test_curves.items()},
             "probe_curves": {nm: curve(c) for nm, c in self.probe_curves.items()},
             "bound_ratios": [[n, None if math.isnan(r) else r]
                              for n, r in self.bound_ratios],
             "verdict_equivalence": self.verdict_equivalence,
-        }, sort_keys=True)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv_bundle(self) -> dict[str, str]:
         """File-name -> contents map: test_<i>.csv, probe_<name>.csv,
@@ -236,14 +238,14 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
         indices = curve_indices(N)
     all_probes = list(zip(testset.names, testset.evals)) + list(probes)
     limits = {nm: sample(f, grid) for nm, f in all_probes}
-    keep_values = method.kind in ("matrix", "almost")
-    depth = n0 + (method.almost_n_max + max(indices) if method.kind == "almost"
-                  else max(indices))
-    table = residual_table(ops, all_probes, list(limits.values()), depth,
-                           keep_values=keep_values)
+    kind = KINDS[method.kind]
+    table = residual_table(ops, all_probes, list(limits.values()),
+                           n0 + kind.rows(method, indices),
+                           keep_values=kind.reads_values)
 
     def curve(nm: str) -> ResidualCurve:
-        kw = {"values": table.values[nm]} if keep_values else {"norms": table.norms[nm]}
+        kw = ({"values": table.values[nm]} if kind.reads_values
+              else {"norms": table.norms[nm]})
         return method_curve(method, L=limits[nm], N=N, tau=tau, n0=n0,
                             indices=indices, **kw)
 
@@ -254,18 +256,14 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
         D = sum(table.norms[nm][n - 1] for nm in testset.names)
         num = max(table.norms[nm][n - 1] for nm, _ in probes) if probes else 0.0
         ratios.append((n, float(num / D) if D >= RATIO_FLOOR else math.nan))
-    tests_ok = all(c.verdict == VERDICT_CONSISTENT for c in test_curves.values())
-    probes_ok = all(c.verdict == VERDICT_CONSISTENT for c in probe_curves.values())
-    return KorovkinReport(method, test_curves, probe_curves, ratios,
-                          tests_ok == probes_ok)
+    report = KorovkinReport(method, test_curves, probe_curves, ratios, False)
+    report.verdict_equivalence = report.tests_consistent == report.probes_consistent
+    return report
 
 
 # ---------------------------------------------------------------------------
 # squeeze harness: does the method preserve the three-term domination?
 
-
-NORM_SQUEEZE_KINDS = ("statistical", "ideal", "strong_wp", "a_strong",
-                      "a_statistical", "f_statistical", "f_strong")
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -304,13 +302,15 @@ def squeeze_trial_norm(method: MethodSpec, C: float, seed: int, N: int = 1000,
 
     Seeds three convergent sequences x, y, z and a fourth w dominated by
     C*(sum of the three residual norms); asserts the finite-N form of the
-    squeeze for the method kind: a union-bound set inclusion at threshold
-    epsilon/(3C) for the count-based kinds, a weighted linear inequality for
-    the strong kinds.  ``tamper=True`` plants one domination violation and
-    must be reported as a hypothesis failure, not a method failure.
+    squeeze given by the kind's ``norm_squeeze`` form in ``KINDS``: a
+    union-bound set inclusion at threshold epsilon/(3C) for the count-based
+    kinds, a weighted linear inequality for the strong kinds.
+    ``tamper=True`` plants one domination violation and must be reported as
+    a hypothesis failure, not a method failure.
     """
     kind = method.kind
-    if kind not in NORM_SQUEEZE_KINDS:
+    squeeze = KINDS[kind].norm_squeeze
+    if squeeze is None:
         raise ValueError(f"method kind {kind!r} does not support the norm squeeze")
     if C <= 0:
         raise ValueError("C must be positive")
@@ -330,57 +330,11 @@ def squeeze_trial_norm(method: MethodSpec, C: float, seed: int, N: int = 1000,
                              f"domination fails at index {j + 1}")
 
     eps = method.epsilon if method.epsilon is not None else epsilon
-    thr = eps / (3.0 * C)
-    if kind in ("statistical", "ideal", "f_statistical"):
-        bad = np.flatnonzero((d > eps)
-                             & ~((a > thr) | (b > thr) | (c > thr)))
-    elif kind == "a_statistical":
-        bad = np.flatnonzero((d >= eps)
-                             & ~((a >= thr) | (b >= thr) | (c >= thr)))
-    elif kind == "strong_wp":
-        p = method.p
-        factor = C ** p * 3.0 ** max(p - 1.0, 0.0)
-        lhs = np.cumsum(d ** p)
-        rhs = factor * (np.cumsum(a ** p) + np.cumsum(b ** p) + np.cumsum(c ** p))
-        bad = np.flatnonzero(lhs > rhs * (1.0 + 1e-12) + 1e-12)
-    elif kind == "a_strong":
-        bad = _a_strong_row_violations(method.matrix, a, b, c, d, C, N)
-    else:  # f_strong
-        f = method.modulus.eval
-        k = math.ceil(C)
-        lhs = np.array([float(f(s)) for s in np.cumsum(d)])
-        rhs = k * (np.array([float(f(s)) for s in np.cumsum(a)])
-                   + np.array([float(f(s)) for s in np.cumsum(b)])
-                   + np.array([float(f(s)) for s in np.cumsum(c)]))
-        bad = np.flatnonzero(lhs > rhs + 1e-12 * (1.0 + np.abs(rhs)))
+    bad = squeeze(method, a, b, c, d, C, eps, N)
     if len(bad):
         return SqueezeReport(kind, C, seed, STATUS_FAIL,
                              f"squeeze inequality fails at index {int(bad[0]) + 1}")
     return SqueezeReport(kind, C, seed, STATUS_PASS)
-
-
-def _a_strong_row_violations(A: MatrixSpec, a, b, c, d, C: float, N: int) -> np.ndarray:
-    """Rows n <= N where sum_j alpha_nj d_j > C sum_j alpha_nj (a+b+c)_j."""
-    s = a + b + c
-    if A.name == "cesaro":
-        lhs, rhs = np.cumsum(d), C * np.cumsum(s)
-    elif A.name == "identity":
-        lhs, rhs = d, C * s
-    else:
-        lhs = np.empty(N)
-        rhs = np.empty(N)
-        for n in range(1, N + 1):
-            j, w = A.row_entries(n)
-            lhs[n - 1] = w @ d[j - 1] if len(j) else 0.0
-            rhs[n - 1] = C * (w @ s[j - 1]) if len(j) else 0.0
-    scale = 1.0 + np.abs(rhs)
-    return np.flatnonzero(lhs > rhs + 1e-10 * scale)
-
-
-def a_strong_rows_generic(A: MatrixSpec, a, b, c, d, C: float, N: int) -> np.ndarray:
-    """Row-loop reference for the specialized paths above."""
-    plain = MatrixSpec("_generic", A.row, A.declared_row_sum)
-    return _a_strong_row_violations(plain, a, b, c, d, C, N)
 
 
 def squeeze_trial_order(method: MethodSpec, C: float, seed: int, N: int = 200,
@@ -391,10 +345,12 @@ def squeeze_trial_order(method: MethodSpec, C: float, seed: int, N: int = 200,
     Builds three sequences converging nodewise to smooth limits, and w
     trapped by the two-sided nodewise bound |w_n - w| <= C*(|x_n-x| +
     |y_n-y| + |z_n-z|); asserts the averaged (window-mean or matrix-row)
-    nodewise bound exactly, then that w's own residual curve is consistent.
+    nodewise bound exactly (the kind's ``order_squeeze`` form in ``KINDS``),
+    then that w's own residual curve is consistent.
     """
     kind = method.kind
-    if kind not in ("almost", "matrix"):
+    squeeze = KINDS[kind].order_squeeze
+    if squeeze is None:
         raise ValueError(f"method kind {kind!r} does not support the order squeeze")
     if C < 0:
         raise ValueError("C must be nonnegative")
@@ -428,39 +384,9 @@ def squeeze_trial_order(method: MethodSpec, C: float, seed: int, N: int = 200,
         return SqueezeReport(kind, C, seed, STATUS_HYPOTHESIS,
                              "order bound fails at a node")
 
-    L = SampledFunction(grid, wbar)
-    if kind == "almost":
-        m, n_max = method.almost_m, method.almost_n_max
-        if len(W) < n_max + m:
-            raise ValueError("N too small for the requested windows")
-        P = lambda M_: np.vstack([np.zeros((1, grid.n_nodes)), np.cumsum(M_, axis=0)])
-        Pw, Ps = P(W - wbar), P(S)
-        for n in range(1, n_max + 1):
-            avg_w = (Pw[n + m] - Pw[n - 1]) / (m + 1)
-            avg_s = (Ps[n + m] - Ps[n - 1]) / (m + 1)
-            if np.any(np.abs(avg_w) > C * avg_s + 1e-12):
-                return SqueezeReport(kind, C, seed, STATUS_FAIL,
-                                     f"averaged bound fails at window start {n}")
-        m_top = N - n_max
-        if m_top < 18:
-            raise ValueError("N too small to form a window-length ladder")
-        mm = list(range(2, m_top + 1, max(2, 2 * (m_top // 24))))
-        curve = method_curve(MethodSpec("almost", almost_m=m, almost_n_max=n_max),
-                             values=W, L=L, N=N, tau=tau, indices=mm)
-        verdict = curve.verdict
-    else:
-        A = method.matrix
-        rows = curve_indices(N)
-        pts = []
-        for n in rows:
-            j, w = A.row_entries(n)
-            row_w = w @ (W[j - 1] - wbar)
-            row_s = w @ S[j - 1]
-            if np.any(np.abs(row_w) > C * row_s + 1e-12):
-                return SqueezeReport(kind, C, seed, STATUS_FAIL,
-                                     f"weighted bound fails at row {n}")
-            pts.append((n, float(np.max(np.abs(row_w)))))
-        verdict = decide_verdict(pts, tau)
+    detail, verdict = squeeze(method, W, S, SampledFunction(grid, wbar), C, N, tau)
+    if detail is not None:
+        return SqueezeReport(kind, C, seed, STATUS_FAIL, detail)
     if verdict != VERDICT_CONSISTENT:
         return SqueezeReport(kind, C, seed, STATUS_FAIL,
                              f"w residual curve verdict {verdict}")
@@ -565,7 +491,7 @@ def counterexample_run(N: int, epsilon: float, grid_m: int = 200,
     norm_v, stat_v = {}, {}
     for nm in testset.names:
         r = table.norms[nm]
-        stat_res[nm] = float(np.count_nonzero(r[n0:n0 + N] > epsilon)) / N
+        stat_res[nm] = statistical_from_norms(r[n0:], epsilon, N)
         norm_v[nm] = method_curve(MethodSpec("norm"), norms=r, N=N,
                                   tau=tau, n0=n0).verdict
         stat_v[nm] = method_curve(MethodSpec("statistical", epsilon=epsilon),

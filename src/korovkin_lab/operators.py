@@ -264,11 +264,6 @@ class CustomOperators(OperatorSequence):
         return self.fn(n, f_eval, self.grid)
 
 
-def modulated_apply(base: OperatorSequence, z: BinarySequence, n: int,
-                    f_eval: Callable) -> SampledFunction:
-    return (1 + z(n)) * base.apply(n, f_eval)
-
-
 def named_operator(name: str, grid: Grid | None = None) -> OperatorSequence:
     """Operator scenarios addressable by name in the CLI config."""
     if name == "bernstein":
@@ -323,14 +318,13 @@ class ResidualTable:
     """Per-index outputs of an operator sequence against fixed probes.
 
     ``norms[name][i]`` is sup|L_n f - limit| at n = i + 1; ``values`` holds
-    the raw node values when requested (needed by the matrix / almost
-    summability kinds).  Built incrementally and cached on the operator.
+    the raw node values when requested (read by the summability kinds that
+    work on the node-value stack).
     """
 
-    def __init__(self, start: int = 1):
-        self.start = start
-        self.norms: dict[str, np.ndarray] = {}
-        self.values: dict[str, np.ndarray] = {}
+    def __init__(self):
+        self.norms: dict = {}
+        self.values: dict = {}
 
 
 def residual_table(ops: OperatorSequence, probes: Sequence[tuple[str, Callable]],
@@ -340,30 +334,36 @@ def residual_table(ops: OperatorSequence, probes: Sequence[tuple[str, Callable]]
 
     Results are cached on the operator instance and extended on demand, so
     repeated probes at growing truncations only pay for the new indices.
+    The cache is keyed by the evaluator object and the limit's values, never
+    by the probe's name, and holds each evaluator so its id stays unique.
     """
-    cache = getattr(ops, "_residual_table", None)
-    if cache is None:
-        cache = ResidualTable()
-        ops._residual_table = cache
-    names = [name for name, _ in probes]
-    done = min(len(cache.norms.get(nm, ())) for nm in names) if names else 0
+    cache, held = ops.__dict__.setdefault("_residual_cache", (ResidualTable(), {}))
+    keys = [(id(f), lim.values.tobytes()) for (_, f), lim in zip(probes, limits)]
+    held.update(zip(keys, (f for _, f in probes)))
+    done = min((len(cache.norms.get(k, ())) for k in keys), default=0)
     if keep_values:
-        done = min([done] + [len(cache.values.get(nm, ())) for nm in names])
+        done = min([done] + [len(cache.values.get(k, ())) for k in keys])
     if done < n_max:
-        new_norms: dict[str, list] = {nm: [] for nm in names}
-        new_vals: dict[str, list] = {nm: [] for nm in names}
+        # one list per probe: a probe given twice writes the same rows twice
+        new_norms: list[list] = [[] for _ in keys]
+        new_vals: list[list] = [[] for _ in keys]
         evals = [f for _, f in probes]
         for n in range(done + 1, n_max + 1):
             outs = ops.apply_batch(n, evals)
-            for (nm, _), out, lim in zip(probes, outs, limits):
-                new_norms[nm].append(sup_norm(out - lim))
+            for i, (out, lim) in enumerate(zip(outs, limits)):
+                new_norms[i].append(sup_norm(out - lim))
                 if keep_values:
-                    new_vals[nm].append(out.values)
-        for nm in names:
-            old = cache.norms.get(nm, np.empty(0))[:done]
-            cache.norms[nm] = np.concatenate([old, np.array(new_norms[nm])])
+                    new_vals[i].append(out.values)
+        for k, norms, vals in zip(keys, new_norms, new_vals):
+            old = cache.norms.get(k, np.empty(0))[:done]
+            cache.norms[k] = np.concatenate([old, np.array(norms)])
             if keep_values:
-                oldv = cache.values.get(nm, np.empty((0, 0)))[:done]
-                block = np.array(new_vals[nm])
-                cache.values[nm] = block if done == 0 else np.concatenate([oldv, block])
-    return cache
+                oldv = cache.values.get(k, np.empty((0, 0)))[:done]
+                block = np.array(vals)
+                cache.values[k] = block if done == 0 else np.concatenate([oldv, block])
+    table = ResidualTable()
+    for (nm, _), k in zip(probes, keys):
+        table.norms[nm] = cache.norms[k]
+        if keep_values:
+            table.values[nm] = cache.values[k]
+    return table

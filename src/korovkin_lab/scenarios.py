@@ -25,6 +25,7 @@ from .korovkin import (
 )
 from .operators import named_operator, positivity_audit, residual_table
 from .summability import (
+    KINDS,
     IdealSpec,
     MethodSpec,
     NAMED_MATRICES,
@@ -78,9 +79,13 @@ def _sinsq(t):
     return np.sin(np.asarray(t, dtype=float)) ** 2
 
 
+def _method(cfg) -> MethodSpec:
+    return MethodSpec.from_dict(cfg.method) if cfg.method else MethodSpec("norm")
+
+
 def _probe_result(name: str, cfg, ops, testset, probes, expected_verdict: str,
                   extra_summary=()) -> ScenarioResult:
-    method = MethodSpec.from_dict(cfg.method) if cfg.method else MethodSpec("norm")
+    method = _method(cfg)
     rep = korovkin_probe(ops, method, testset, probes, cfg.N, cfg.tau, n0=cfg.n0)
     verdicts = {f"test_{nm}": c.verdict for nm, c in rep.test_curves.items()}
     verdicts.update({f"probe_{nm}": c.verdict for nm, c in rep.probe_curves.items()})
@@ -90,13 +95,8 @@ def _probe_result(name: str, cfg, ops, testset, probes, expected_verdict: str,
     lines = [f"{name}: method={method.kind} N={cfg.N} tau={cfg.tau}"]
     lines += [f"  {k} -> {v}" for k, v in sorted(verdicts.items())]
     lines.extend(extra_summary)
-    return ScenarioResult(name, verdicts, expected, report=_report_from(rep),
+    return ScenarioResult(name, verdicts, expected, report=rep.to_dict(),
                           curves=rep.to_csv_bundle(), summary_lines=lines)
-
-
-def _report_from(rep) -> dict:
-    import json
-    return json.loads(rep.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +344,30 @@ class ScenarioEntry:
     runner: Callable
     description: str
     defaults: dict
+    #: largest Bernstein index a run with the given config applies; None for
+    #: scenarios that apply no Bernstein operator
+    bernstein_depth: Callable | None = None
+
+
+def _probe_depth(cfg) -> int:
+    # the probe's index ladder ends at N
+    method = _method(cfg)
+    return cfg.n0 + KINDS[method.kind].rows(method, [cfg.N])
+
+
+def _table_depth(cfg) -> int:
+    return cfg.N + cfg.n0
 
 
 REGISTRY: dict[str, ScenarioEntry] = {
     "bernstein-classical": ScenarioEntry(
         run_bernstein_classical,
         "polynomial operators, sup-norm method, algebraic test set",
-        {"N": 200, "tau": 0.02, "grid_m": 200}),
+        {"N": 200, "tau": 0.02, "grid_m": 200}, _probe_depth),
     "statistical-counterexample": ScenarioEntry(
         run_statistical_counterexample,
         "square-modulated operators: norm-divergent, density-convergent",
-        {"N": 3000, "tau": 0.05, "epsilon": 0.5, "grid_m": 200}),
+        {"N": 3000, "tau": 0.05, "epsilon": 0.5, "grid_m": 200}, _table_depth),
     "cesaro-matrix": ScenarioEntry(
         run_cesaro_matrix,
         "arithmetic-mean matrix transform of an alternating sequence",
@@ -370,7 +383,7 @@ REGISTRY: dict[str, ScenarioEntry] = {
     "f-modulus-sweep": ScenarioEntry(
         run_f_modulus_sweep,
         "modulus-deformed exceedance densities plus the modulus validator",
-        {"N": 2000, "tau": 0.25, "epsilon": 0.01, "grid_m": 200}),
+        {"N": 2000, "tau": 0.25, "epsilon": 0.01, "grid_m": 200}, _table_depth),
     "squeeze-audit": ScenarioEntry(
         run_squeeze_audit,
         "randomized domination-preservation audit for every method kind",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,20 +70,29 @@ class MatrixSpec:
         return j, a
 
 
+def _cesaro_row(n: int) -> list[tuple[int, float]]:
+    return [(j, 1.0 / n) for j in range(1, n + 1)]
+
+
+def _identity_row(n: int) -> list[tuple[int, float]]:
+    return [(n, 1.0)]
+
+
+def _doubled_cesaro_row(n: int) -> list[tuple[int, float]]:
+    return [(j, 2.0 / n) for j in range(1, n + 1)]
+
+
 def cesaro_matrix() -> MatrixSpec:
-    return MatrixSpec("cesaro", lambda n: [(j, 1.0 / n) for j in range(1, n + 1)],
-                      declared_row_sum=1.0)
+    return MatrixSpec("cesaro", _cesaro_row, declared_row_sum=1.0)
 
 
 def identity_matrix() -> MatrixSpec:
-    return MatrixSpec("identity", lambda n: [(n, 1.0)], declared_row_sum=1.0)
+    return MatrixSpec("identity", _identity_row, declared_row_sum=1.0)
 
 
 def doubled_cesaro_matrix() -> MatrixSpec:
     # control matrix: violates the row-sum-to-1 regularity condition
-    return MatrixSpec("doubled-cesaro",
-                      lambda n: [(j, 2.0 / n) for j in range(1, n + 1)],
-                      declared_row_sum=2.0)
+    return MatrixSpec("doubled-cesaro", _doubled_cesaro_row, declared_row_sum=2.0)
 
 
 NAMED_MATRICES = {
@@ -90,6 +100,23 @@ NAMED_MATRICES = {
     "identity": identity_matrix,
     "doubled-cesaro": doubled_cesaro_matrix,
 }
+
+
+@dataclass(frozen=True)
+class _RowTable:
+    """Rows of a custom matrix as dense lists: row n is ``rows[n - 1]``."""
+
+    rows: tuple[tuple[float, ...], ...]
+
+    def __call__(self, n: int) -> list[tuple[int, float]]:
+        if not (1 <= n <= len(self.rows)):
+            raise ValueError(f"custom matrix: row {n} undefined")
+        return [(j + 1, a) for j, a in enumerate(self.rows[n - 1]) if a != 0.0]
+
+
+def _custom_matrix(rows) -> MatrixSpec:
+    return MatrixSpec("custom", _RowTable(tuple(tuple(float(a) for a in row)
+                                                for row in rows)))
 
 
 @dataclass(frozen=True)
@@ -153,47 +180,48 @@ class MethodSpec:
     almost_m: int | None = None
     almost_n_max: int | None = None
 
-    KINDS = ("norm", "statistical", "ideal", "strong_wp", "a_statistical",
-             "a_strong", "f_statistical", "f_strong", "almost", "matrix")
-
     def __post_init__(self):
-        k = self.kind
-        if k not in self.KINDS:
-            raise ValueError(f"unknown method kind {k!r}")
-        if k == "strong_wp" and not (self.p is not None and self.p > 0):
-            raise ValueError("strong_wp needs p > 0")
-        if k in ("statistical", "ideal", "a_statistical", "f_statistical"):
-            if not (self.epsilon is not None and self.epsilon > 0):
-                raise ValueError(f"{k} needs epsilon > 0")
-        if k in ("a_statistical", "a_strong", "matrix") and self.matrix is None:
-            raise ValueError(f"{k} needs a matrix")
-        if k in ("f_statistical", "f_strong") and self.modulus is None:
-            raise ValueError(f"{k} needs a modulus")
-        if k == "ideal" and self.ideal is None:
-            raise ValueError("ideal kind needs an IdealSpec")
-        if k == "almost":
-            if not (self.almost_m is not None and self.almost_m >= 0):
-                raise ValueError("almost needs window m >= 0")
-            if not (self.almost_n_max is not None and self.almost_n_max >= 1):
-                raise ValueError("almost needs n_max >= 1")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown method kind {self.kind!r}")
+        for holds, message in KINDS[self.kind].requires:
+            if not holds(self):
+                raise ValueError(message.format(self.kind))
 
     # -- JSON wire format ---------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """Wire form that :meth:`from_dict` loads back to an equal spec;
+        raises ValueError naming the field that has no wire form."""
         d: dict = {"kind": self.kind}
         if self.p is not None:
             d["p"] = self.p
         if self.epsilon is not None:
             d["epsilon"] = self.epsilon
         if self.modulus is not None:
+            if SHIPPED_MODULI.get(self.modulus.name) != self.modulus:
+                raise ValueError(f"modulus: {self.modulus.name!r} is not a shipped "
+                                 "modulus, so it has no JSON form")
             d["modulus"] = {"name": self.modulus.name}
         if self.matrix is not None:
-            d["matrix"] = {"name": self.matrix.name}
+            A, rows = self.matrix, getattr(self.matrix.row, "rows", None)
+            if rows is not None and A == _custom_matrix(rows):
+                d["matrix"] = {"name": "custom", "rows": [list(r) for r in rows]}
+            elif A.name in NAMED_MATRICES and A == NAMED_MATRICES[A.name]():
+                d["matrix"] = {"name": A.name}
+            else:
+                raise ValueError(f"matrix: {A.name!r} is neither a named matrix nor "
+                                 "given by rows, so it has no JSON form")
         if self.ideal is not None:
+            if self.ideal.density is not None:
+                raise ValueError(f"ideal: a {self.ideal.kind} ideal with a density "
+                                 "functional has no JSON form")
             d["ideal"] = {"kind": self.ideal.kind}
-        if self.almost_m is not None:
+        if self.almost_m is not None or self.almost_n_max is not None:
             d["almost"] = {"m": self.almost_m, "n_max": self.almost_n_max}
-        return json.dumps(d, sort_keys=True)
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MethodSpec":
@@ -202,14 +230,7 @@ class MethodSpec:
             md = d["matrix"]
             name = md.get("name", "custom")
             if name == "custom":
-                rows = md["rows"]
-
-                def row(n, rows=rows):
-                    if not (1 <= n <= len(rows)):
-                        raise ValueError(f"custom matrix: row {n} undefined")
-                    return [(j + 1, float(a)) for j, a in enumerate(rows[n - 1]) if a != 0.0]
-
-                matrix = MatrixSpec("custom", row)
+                matrix = _custom_matrix(md["rows"])
             elif name in NAMED_MATRICES:
                 matrix = NAMED_MATRICES[name]()
             else:
@@ -237,21 +258,10 @@ class MethodSpec:
 # residual functionals
 
 
-def _shifted(seq: SequenceFn, n0: int) -> SequenceFn:
-    if n0 == 0:
-        return seq
-    return lambda k: seq(k + n0)
-
-
 def norm_residual_array(seq: SequenceFn, L: SampledFunction, N: int,
                         n0: int = 0) -> np.ndarray:
     """r[k-1] = sup|seq(k+n0) - L| for k = 1..N."""
-    s = _shifted(seq, n0)
-    return np.array([sup_norm(s(k) - L) for k in range(1, N + 1)])
-
-
-def residual_norm(seq: SequenceFn, L: SampledFunction, n: int, n0: int = 0) -> float:
-    return sup_norm(_shifted(seq, n0)(n) - L)
+    return np.array([sup_norm(seq(k + n0) - L) for k in range(1, N + 1)])
 
 
 def statistical_from_norms(r: np.ndarray, epsilon: float, N: int) -> float:
@@ -260,24 +270,10 @@ def statistical_from_norms(r: np.ndarray, epsilon: float, N: int) -> float:
     return float(np.count_nonzero(r[:N] > epsilon)) / N
 
 
-def residual_statistical(seq, L, epsilon: float, N: int, n0: int = 0) -> float:
-    """Fraction of indices k <= N with sup|seq(k)-L| > epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return statistical_from_norms(norm_residual_array(seq, L, N, n0), epsilon, N)
-
-
 def strong_wp_from_norms(r: np.ndarray, p: float, N: int) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     return float(np.mean(r[:N] ** p))
-
-
-def residual_strong_wp(seq, L, p: float, N: int, n0: int = 0) -> float:
-    """p-th power Cesaro mean of the residual norms up to N."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return strong_wp_from_norms(norm_residual_array(seq, L, N, n0), p, N)
 
 
 def a_strong_from_norms(r: np.ndarray, A: MatrixSpec, n: int) -> float:
@@ -285,12 +281,6 @@ def a_strong_from_norms(r: np.ndarray, A: MatrixSpec, n: int) -> float:
     if len(j) and j.max() > len(r):
         raise ValueError(f"row {n} of {A.name!r} needs residuals beyond index {len(r)}")
     return float(a @ r[j - 1]) if len(j) else 0.0
-
-
-def residual_a_strong(seq, L, A: MatrixSpec, n: int, n0: int = 0) -> float:
-    j, a = A.row_entries(n)
-    s = _shifted(seq, n0)
-    return float(sum(w * sup_norm(s(int(jj)) - L) for jj, w in zip(j, a)))
 
 
 def a_statistical_from_norms(r: np.ndarray, A: MatrixSpec, epsilon: float,
@@ -302,16 +292,6 @@ def a_statistical_from_norms(r: np.ndarray, A: MatrixSpec, epsilon: float,
         return 0.0
     exceed = r[j - 1] >= epsilon
     return float(a[exceed].sum())
-
-
-def residual_a_statistical(seq, L, A: MatrixSpec, epsilon: float, n: int,
-                           n0: int = 0) -> float:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    j, _ = A.row_entries(n)
-    N = int(j.max()) if len(j) else 0
-    r = norm_residual_array(seq, L, N, n0)
-    return a_statistical_from_norms(r, A, epsilon, n)
 
 
 def _modulus_value(modulus: ModulusSpec, x: float) -> float:
@@ -328,21 +308,11 @@ def f_statistical_from_norms(r, modulus: ModulusSpec, epsilon: float, N: int) ->
     return _modulus_value(modulus, count) / fn
 
 
-def residual_f_statistical(seq, L, modulus: ModulusSpec, epsilon: float,
-                           N: int, n0: int = 0) -> float:
-    return f_statistical_from_norms(norm_residual_array(seq, L, N, n0),
-                                    modulus, epsilon, N)
-
-
 def f_strong_from_norms(r, modulus: ModulusSpec, N: int) -> float:
     fn = _modulus_value(modulus, N)
     if fn == 0.0:
         raise ValueError(f"degenerate modulus {modulus.name!r}: f({N}) = 0")
     return _modulus_value(modulus, float(np.sum(np.asarray(r)[:N]))) / fn
-
-
-def residual_f_strong(seq, L, modulus: ModulusSpec, N: int, n0: int = 0) -> float:
-    return f_strong_from_norms(norm_residual_array(seq, L, N, n0), modulus, N)
 
 
 def ideal_from_norms(r: np.ndarray, ideal: IdealSpec, epsilon: float, N: int) -> float:
@@ -352,17 +322,10 @@ def ideal_from_norms(r: np.ndarray, ideal: IdealSpec, epsilon: float, N: int) ->
     return ideal.mass(members, N)
 
 
-def residual_ideal(seq, L, ideal: IdealSpec, epsilon: float, N: int,
-                   n0: int = 0) -> float:
-    return ideal_from_norms(norm_residual_array(seq, L, N, n0), ideal, epsilon, N)
-
-
-def _value_stack(seq: SequenceFn, L: SampledFunction, count: int,
-                 n0: int = 0) -> np.ndarray:
-    s = _shifted(seq, n0)
+def _value_stack(seq: SequenceFn, L: SampledFunction, count: int) -> np.ndarray:
     rows = []
     for k in range(1, count + 1):
-        f = s(k)
+        f = seq(k)
         if f.grid != L.grid:
             raise ValueError("sequence and limit live on different grids")
         rows.append(f.values)
@@ -388,13 +351,6 @@ def almost_from_values(V: np.ndarray, L: SampledFunction, m: int, n_max: int) ->
     return worst
 
 
-def residual_almost(seq, L, m: int, n_max: int, n0: int = 0) -> float:
-    """Sliding-window Cesaro residual; uniformity in the window start is
-    approximated by the max over starts 1..n_max."""
-    V = _value_stack(seq, L, n_max + m, n0)
-    return almost_from_values(V, L, m, n_max)
-
-
 def matrix_from_values(V: np.ndarray, A: MatrixSpec, n: int) -> np.ndarray:
     j, a = A.row_entries(n)
     if len(j) == 0:
@@ -404,24 +360,186 @@ def matrix_from_values(V: np.ndarray, A: MatrixSpec, n: int) -> np.ndarray:
     return a @ V[j - 1]
 
 
-def apply_matrix(seq: SequenceFn, A: MatrixSpec, n: int,
-                 n0: int = 0) -> SampledFunction:
-    """Row-n matrix transform: nodewise sum_j alpha_nj * seq(j)."""
-    j, a = A.row_entries(n)
-    s = _shifted(seq, n0)
-    grid = None
-    acc = None
-    for jj, w in zip(j, a):
-        f = s(int(jj))
-        if grid is None:
-            grid = f.grid
-            acc = np.zeros(grid.n_nodes)
-        elif f.grid != grid:
-            raise ValueError("sequence members live on different grids")
-        acc += w * f.values
-    if acc is None:
-        raise ValueError(f"row {n} of {A.name!r} is empty")
-    return SampledFunction(grid, acc)
+# ---------------------------------------------------------------------------
+# squeeze forms: a norm form takes residual norms a, b, c, d <= C*(a+b+c) and
+# returns the 0-based indices where the finite-N squeeze fails; an order form
+# takes a stack W with |W - L| <= C*S nodewise and returns (failure detail or
+# None, verdict of w's residual curve)
+
+
+def _union_bound(exceeds: Callable) -> Callable:
+    """Count-based kinds: an index where d exceeds eps must have one of a, b,
+    c exceed eps/(3C)."""
+    def violations(spec, a, b, c, d, C, eps, N):
+        thr = eps / (3.0 * C)
+        return np.flatnonzero(exceeds(d, eps) & ~(exceeds(a, thr) | exceeds(b, thr)
+                                                  | exceeds(c, thr)))
+    return violations
+
+
+def _power_mean_violations(spec, a, b, c, d, C, eps, N):
+    """Weighted linear form: sum d^p <= C^p 3^max(p-1,0) sum (a^p+b^p+c^p)."""
+    p = spec.p
+    factor = C ** p * 3.0 ** max(p - 1.0, 0.0)
+    lhs = np.cumsum(d ** p)
+    rhs = factor * (np.cumsum(a ** p) + np.cumsum(b ** p) + np.cumsum(c ** p))
+    return np.flatnonzero(lhs > rhs * (1.0 + 1e-12) + 1e-12)
+
+
+def _modulus_violations(spec, a, b, c, d, C, eps, N):
+    """Modulus form: f(sum d) <= ceil(C) (f(sum a) + f(sum b) + f(sum c))."""
+    f = lambda x: np.array([float(spec.modulus.eval(s)) for s in np.cumsum(x)])
+    lhs, rhs = f(d), math.ceil(C) * (f(a) + f(b) + f(c))
+    return np.flatnonzero(lhs > rhs + 1e-12 * (1.0 + np.abs(rhs)))
+
+
+def _a_strong_row_violations(A: MatrixSpec, a, b, c, d, C: float, N: int) -> np.ndarray:
+    """Rows n <= N where sum_j alpha_nj d_j > C sum_j alpha_nj (a+b+c)_j.
+
+    The Cesaro and identity row rules have closed forms, chosen by the row
+    function itself so a relabelled matrix cannot borrow them."""
+    s = a + b + c
+    if A.row is _cesaro_row:
+        lhs, rhs = np.cumsum(d), C * np.cumsum(s)
+    elif A.row is _identity_row:
+        lhs, rhs = d, C * s
+    else:
+        lhs = np.empty(N)
+        rhs = np.empty(N)
+        for n in range(1, N + 1):
+            j, w = A.row_entries(n)
+            lhs[n - 1] = w @ d[j - 1] if len(j) else 0.0
+            rhs[n - 1] = C * (w @ s[j - 1]) if len(j) else 0.0
+    scale = 1.0 + np.abs(rhs)
+    return np.flatnonzero(lhs > rhs + 1e-10 * scale)
+
+
+def _window_order_squeeze(spec, W, S, L, C, N, tau):
+    """Window means of w stay within C times the window means of S at every
+    start up to n_max; then w's almost curve over a window-length ladder."""
+    m, n_max = spec.almost_m, spec.almost_n_max
+    if len(W) < n_max + m:
+        raise ValueError("N too small for the requested windows")
+    P = lambda M_: np.vstack([np.zeros((1, W.shape[1])), np.cumsum(M_, axis=0)])
+    Pw, Ps = P(W - L.values), P(S)
+    for n in range(1, n_max + 1):
+        avg_w = (Pw[n + m] - Pw[n - 1]) / (m + 1)
+        avg_s = (Ps[n + m] - Ps[n - 1]) / (m + 1)
+        if np.any(np.abs(avg_w) > C * avg_s + 1e-12):
+            return f"averaged bound fails at window start {n}", None
+    m_top = N - n_max
+    if m_top < 18:
+        raise ValueError("N too small to form a window-length ladder")
+    mm = list(range(2, m_top + 1, max(2, 2 * (m_top // 24))))
+    return None, method_curve(spec, values=W, L=L, N=N, tau=tau, indices=mm).verdict
+
+
+def _row_order_squeeze(spec, W, S, L, C, N, tau):
+    """Every matrix row of w - L stays within C times the same row of S;
+    then the verdict of w's row residuals."""
+    pts = []
+    for n in curve_indices(N):
+        j, w = spec.matrix.row_entries(n)
+        row_w = w @ (W[j - 1] - L.values)
+        row_s = w @ S[j - 1]
+        if np.any(np.abs(row_w) > C * row_s + 1e-12):
+            return f"weighted bound fails at row {n}", None
+        pts.append((n, float(np.max(np.abs(row_w)))))
+    return None, decide_verdict(pts, tau)
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One summability kind: ``point(spec, table, L, n)`` is its residual at
+    truncation n (the window length for ``almost``), read off the norm table,
+    or the node-value stack if ``reads_values``, both starting at index 1;
+    ``rows(spec, ns)`` counts the table rows read for the truncations ns;
+    ``requires`` pairs checks on a MethodSpec with their errors; the squeeze
+    forms are described above, None where the kind has none."""
+
+    point: Callable[["MethodSpec", np.ndarray, SampledFunction, int], float]
+    requires: tuple[tuple[Callable[["MethodSpec"], bool], str], ...] = ()
+    reads_values: bool = False
+    rows: Callable[["MethodSpec", Sequence[int]], int] = lambda spec, ns: max(ns)
+    norm_squeeze: Callable | None = None
+    order_squeeze: Callable | None = None
+
+
+_NEEDS_EPSILON = (lambda s: s.epsilon is not None and s.epsilon > 0,
+                  "{} needs epsilon > 0")
+_NEEDS_MATRIX = (lambda s: s.matrix is not None, "{} needs a matrix")
+_NEEDS_MODULUS = (lambda s: s.modulus is not None, "{} needs a modulus")
+
+# the lambdas look their functions up at call time, so a wrapper installed on
+# the module attribute (a tracer, say) sees every call
+KINDS: dict[str, Kind] = {
+    # tail supremum over the proportional window (n/3, n]: decays for
+    # convergent sequences yet cannot skip a sparse exceedance set, and the
+    # window scales with n so small index offsets cannot flip it
+    "norm": Kind(lambda s, r, L, n: float(np.max(r[n // 3: n]))),
+    "statistical": Kind(
+        lambda s, r, L, n: statistical_from_norms(r, s.epsilon, n),
+        requires=(_NEEDS_EPSILON,),
+        norm_squeeze=_union_bound(operator.gt)),
+    "ideal": Kind(
+        lambda s, r, L, n: ideal_from_norms(r, s.ideal, s.epsilon, n),
+        requires=(_NEEDS_EPSILON,
+                  (lambda s: s.ideal is not None, "ideal kind needs an IdealSpec")),
+        norm_squeeze=_union_bound(operator.gt)),
+    "strong_wp": Kind(
+        lambda s, r, L, n: strong_wp_from_norms(r, s.p, n),
+        requires=((lambda s: s.p is not None and s.p > 0, "strong_wp needs p > 0"),),
+        norm_squeeze=_power_mean_violations),
+    "a_statistical": Kind(
+        lambda s, r, L, n: a_statistical_from_norms(r, s.matrix, s.epsilon, n),
+        requires=(_NEEDS_EPSILON, _NEEDS_MATRIX),
+        norm_squeeze=_union_bound(operator.ge)),
+    "a_strong": Kind(
+        lambda s, r, L, n: a_strong_from_norms(r, s.matrix, n),
+        requires=(_NEEDS_MATRIX,),
+        norm_squeeze=lambda s, a, b, c, d, C, eps, N:
+            _a_strong_row_violations(s.matrix, a, b, c, d, C, N)),
+    "f_statistical": Kind(
+        lambda s, r, L, n: f_statistical_from_norms(r, s.modulus, s.epsilon, n),
+        requires=(_NEEDS_EPSILON, _NEEDS_MODULUS),
+        norm_squeeze=_union_bound(operator.gt)),
+    "f_strong": Kind(
+        lambda s, r, L, n: f_strong_from_norms(r, s.modulus, n),
+        requires=(_NEEDS_MODULUS,),
+        norm_squeeze=_modulus_violations),
+    "almost": Kind(
+        lambda s, V, L, n: almost_from_values(V, L, n, s.almost_n_max),
+        requires=((lambda s: s.almost_m is not None and s.almost_m >= 0,
+                   "almost needs window m >= 0"),
+                  (lambda s: s.almost_n_max is not None and s.almost_n_max >= 1,
+                   "almost needs n_max >= 1")),
+        reads_values=True, rows=lambda s, ns: max(ns) + s.almost_n_max,
+        order_squeeze=_window_order_squeeze),
+    "matrix": Kind(
+        lambda s, V, L, n: _sup(matrix_from_values(V, s.matrix, n) - L.values,
+                                L.grid.periodic),
+        requires=(_NEEDS_MATRIX,),
+        reads_values=True, order_squeeze=_row_order_squeeze),
+}
+
+
+def _table(kind: Kind, seq: SequenceFn, L: SampledFunction, rows: int) -> np.ndarray:
+    if kind.reads_values:
+        return _value_stack(seq, L, rows)
+    return norm_residual_array(seq, L, rows)
+
+
+def residual(method: MethodSpec, seq: SequenceFn, L: SampledFunction, n: int,
+             n0: int = 0) -> float:
+    """Residual of ``seq`` against ``L`` under ``method`` at truncation n,
+    after dropping the first n0 terms: the value ``method_curve`` plots at n."""
+    kind = KINDS[method.kind]
+    return kind.point(method, _table(kind, seq, L, n0 + kind.rows(method, [n]))[n0:],
+                      L, n)
 
 
 # ---------------------------------------------------------------------------
@@ -607,66 +725,21 @@ def method_curve(method: MethodSpec, *, norms: np.ndarray | None = None,
 
     ``norms`` is the per-index sup-norm residual table (absolute indexing
     from n=1, before the offset ``n0``); ``values`` is the matching stack of
-    node values, needed by the matrix and almost kinds.  When a table is not
-    supplied it is computed from ``seq``.
+    node values, read by the kinds whose ``KINDS`` entry ``reads_values``.
+    When a table is not supplied it is computed from ``seq``.
 
     For the norm kind the plotted value at n is the supremum of the residuals
     over the tail window (n/3, n]: a finite-truncation reading of the limit
     superior over *all* indices rather than a sampled subsequence.
     """
-    kind = method.kind
+    kind = KINDS[method.kind]
     if indices is None:
         indices = curve_indices(N)
-    if kind in ("matrix", "almost"):
-        if values is None:
-            depth = (method.almost_n_max + max(indices) if kind == "almost"
-                     else max(indices))
-            values = _value_stack(seq, L, n0 + depth)
-    elif norms is None:
-        norms = norm_residual_array(seq, L, n0 + max(indices))
-
-    pts: list[tuple[int, float]] = []
-    if kind == "norm":
-        # tail supremum over the proportional window (n/3, n]: decays for
-        # convergent sequences yet cannot skip a sparse exceedance set, and
-        # the window scales with n so small index offsets cannot flip it
-        for n in indices:
-            pts.append((n, float(np.max(norms[n0 + n // 3: n0 + n]))))
-    elif kind == "statistical":
-        for n in indices:
-            pts.append((n, statistical_from_norms(norms[n0:], method.epsilon, n)))
-    elif kind == "ideal":
-        for n in indices:
-            pts.append((n, ideal_from_norms(norms[n0:], method.ideal,
-                                            method.epsilon, n)))
-    elif kind == "strong_wp":
-        for n in indices:
-            pts.append((n, strong_wp_from_norms(norms[n0:], method.p, n)))
-    elif kind == "f_statistical":
-        for n in indices:
-            pts.append((n, f_statistical_from_norms(norms[n0:], method.modulus,
-                                                    method.epsilon, n)))
-    elif kind == "f_strong":
-        for n in indices:
-            pts.append((n, f_strong_from_norms(norms[n0:], method.modulus, n)))
-    elif kind == "a_statistical":
-        for n in indices:
-            pts.append((n, a_statistical_from_norms(norms[n0:], method.matrix,
-                                                    method.epsilon, n)))
-    elif kind == "a_strong":
-        for n in indices:
-            pts.append((n, a_strong_from_norms(norms[n0:], method.matrix, n)))
-    elif kind == "matrix":
-        V = values[n0:]
-        for n in indices:
-            row = matrix_from_values(V, method.matrix, n)
-            pts.append((n, _sup(row - L.values, L.grid.periodic)))
-    elif kind == "almost":
-        V = values[n0:]
-        for m in indices:
-            pts.append((m, almost_from_values(V, L, m, method.almost_n_max)))
-    else:
-        raise ValueError(f"unsupported method kind {kind!r}")
+    table = values if kind.reads_values else norms
+    if table is None:
+        table = _table(kind, seq, L, n0 + kind.rows(method, indices))
+    r = table[n0:]
+    pts = [(n, kind.point(method, r, L, n)) for n in indices]
     return ResidualCurve(method, pts, decide_verdict(pts, tau), L)
 
 

@@ -11,7 +11,6 @@ from korovkin_lab.korovkin import (
     STATUS_FAIL,
     STATUS_HYPOTHESIS,
     STATUS_PASS,
-    a_strong_rows_generic,
     bound_ratio_curve,
     check_pointwise_bound,
     counterexample_run,
@@ -22,13 +21,15 @@ from korovkin_lab.korovkin import (
     squeeze_trial_order,
     _squeeze_norm_sequences,
 )
-from korovkin_lab.operators import named_operator
+from korovkin_lab.operators import BernsteinOperators, named_operator
 from korovkin_lab.summability import (
     IdealSpec,
+    MatrixSpec,
     MethodSpec,
     SHIPPED_MODULI,
     VERDICT_CONSISTENT,
     VERDICT_INCONSISTENT,
+    _a_strong_row_violations,
     cesaro_matrix,
     identity_matrix,
 )
@@ -166,6 +167,21 @@ class TestKorovkinProbe:
                    for c in rep.test_curves.values())
         assert rep.verdict_equivalence
 
+    def test_cache_keyed_by_evaluator_not_name(self):
+        # two probes share the name "p" on one operator; the second must not
+        # read the first one's cached residuals
+        exp5 = lambda t: np.exp(5.0 * np.asarray(t, dtype=float))
+        ops = BernsteinOperators(Grid.unit(200))
+        korovkin_probe(ops, MethodSpec("norm"), ALGEBRAIC, [("p", t3)],
+                       N=200, tau=0.02)
+        reused = korovkin_probe(ops, MethodSpec("norm"), ALGEBRAIC,
+                                [("p", exp5)], N=200, tau=0.02)
+        fresh = korovkin_probe(BernsteinOperators(Grid.unit(200)),
+                               MethodSpec("norm"), ALGEBRAIC, [("p", exp5)],
+                               N=200, tau=0.02)
+        assert reused.probe_curves["p"].points == fresh.probe_curves["p"].points
+        assert reused.probe_curves["p"].points[-1][1] == pytest.approx(1.665, abs=1e-3)
+
     def test_json_and_csv_bundle(self):
         ops = named_operator("bernstein", GRID)
         rep = korovkin_probe(ops, MethodSpec("norm"), ALGEBRAIC,
@@ -177,6 +193,20 @@ class TestKorovkinProbe:
         assert {"test_0.csv", "test_1.csv", "test_2.csv",
                 "probe_t3.csv", "ratios.csv"} <= set(bundle)
         assert bundle["ratios.csv"].startswith("n,ratio\n")
+
+
+def a_strong_rows_generic(A, a, b, c, d, C, N):
+    """Row-loop oracle: 0-based indices of the rows n <= N where
+    sum_j alpha_nj d_j > C sum_j alpha_nj (a+b+c)_j."""
+    s = a + b + c
+    bad = []
+    for n in range(1, N + 1):
+        j, w = A.row_entries(n)
+        lhs = w @ d[j - 1] if len(j) else 0.0
+        rhs = C * (w @ s[j - 1]) if len(j) else 0.0
+        if lhs > rhs + 1e-10 * (1.0 + abs(rhs)):
+            bad.append(n - 1)
+    return np.array(bad, dtype=int)
 
 
 NORM_METHODS = [
@@ -216,10 +246,19 @@ class TestSqueezeNorm:
         a, b, c, d = _squeeze_norm_sequences(2.0, 11, 300)
         d[37] *= 100.0  # force some violations so both paths must agree on them
         for A in (cesaro_matrix(), identity_matrix()):
-            from korovkin_lab.korovkin import _a_strong_row_violations
             fast = _a_strong_row_violations(A, a, b, c, d, 2.0, 300)
             ref = a_strong_rows_generic(A, a, b, c, d, 2.0, 300)
             assert np.array_equal(fast, ref)
+
+    def test_a_strong_fast_path_chosen_by_rows_not_name(self):
+        # identity rows under the Cesaro name must not take the Cesaro form
+        a, b, c, d = _squeeze_norm_sequences(2.0, 11, 300)
+        d[37] *= 100.0
+        relabelled = MatrixSpec("cesaro", identity_matrix().row, 1.0)
+        got = _a_strong_row_violations(relabelled, a, b, c, d, 2.0, 300)
+        ref = a_strong_rows_generic(relabelled, a, b, c, d, 2.0, 300)
+        assert list(ref) == [37]
+        assert np.array_equal(got, ref)
 
 
 class TestSqueezeOrder:

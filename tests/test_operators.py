@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from korovkin_lab.funcspace import Grid, constant, sample, sup_norm
 from korovkin_lab.operators import (
     BinarySequence,
+    ModulatedOperators,
     MAX_BERNSTEIN_INDEX,
     bernstein_apply,
     bernstein_apply_batch,
     fejer_apply,
     fejer_kernel,
-    modulated_apply,
     named_operator,
     perfect_squares,
     positivity_audit,
@@ -160,13 +160,12 @@ class TestFejer:
 
 class TestModulated:
     def test_doubles_exactly_on_squares(self):
-        base = named_operator("bernstein", GRID)
-        z = perfect_squares()
+        ops = ModulatedOperators(named_operator("bernstein", GRID), perfect_squares())
         for n in (4, 9, 16, 100):
-            out = modulated_apply(base, z, n, e0)
+            out = ops.apply(n, e0)
             assert sup_norm(out - constant(2.0, GRID)) == 0.0
         for n in (2, 3, 5, 99):
-            out = modulated_apply(base, z, n, e0)
+            out = ops.apply(n, e0)
             assert sup_norm(out - constant(1.0, GRID)) == 0.0
 
     def test_membership_sequence(self):
@@ -213,6 +212,23 @@ class TestResidualTable:
         second = residual_table(ops, [("e2", e2)], [lim], 40).norms["e2"]
         assert np.array_equal(second[:20], first)
         assert len(second) == 40
+
+    def test_cache_keyed_by_limit_values(self):
+        ops = named_operator("bernstein", GRID)
+        first = residual_table(ops, [("f", e2)], [sample(e2, GRID)], 10).norms["f"]
+        zero = constant(0.0, GRID)
+        second = residual_table(ops, [("f", e2)], [zero], 10).norms["f"]
+        for n in (1, 10):
+            assert second[n - 1] == sup_norm(bernstein_apply(n, e2, GRID) - zero)
+        assert not np.array_equal(first, second)
+
+    def test_probe_given_twice_fills_one_row_per_index(self):
+        ops = named_operator("bernstein", GRID)
+        lim = sample(e2, GRID)
+        table = residual_table(ops, [("a", e2), ("b", e2)], [lim, lim], 10,
+                               keep_values=True)
+        assert len(table.norms["a"]) == 10 and len(table.values["b"]) == 10
+        assert table.norms["a"][9] == sup_norm(bernstein_apply(10, e2, GRID) - lim)
 
     def test_values_kept_on_request(self):
         ops = named_operator("bernstein", Grid.unit(10))

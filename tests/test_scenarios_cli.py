@@ -51,6 +51,37 @@ class TestValidation:
                                      "method": {"kind": "banach"}})
         assert any(e.startswith("method:") for e in errors)
 
+    @pytest.mark.parametrize("rows", [[[None]], [["x"]], 3])
+    def test_malformed_custom_rows_reported_with_path(self, rows):
+        method = {"kind": "matrix", "matrix": {"name": "custom", "rows": rows}}
+        _, errors = validate_config({"scenario": "bernstein-classical",
+                                     "method": method})
+        assert len(errors) == 1 and errors[0].startswith("method:")
+
+    @pytest.mark.parametrize("name", ["statistical-counterexample",
+                                      "f-modulus-sweep", "bernstein-classical"])
+    def test_offset_past_bernstein_cap(self, name):
+        cfg, errors = validate_config({"scenario": name, "N": 3000, "n0": 8000})
+        assert cfg is None
+        assert errors == ["n0: the run reaches Bernstein index 11000, "
+                          "above the cap 10000"]
+        _, errors = validate_config({"scenario": name, "N": 3000, "n0": 7000})
+        assert errors == []
+
+    def test_almost_windows_count_toward_bernstein_cap(self):
+        method = {"kind": "almost", "almost": {"m": 0, "n_max": 500}}
+        _, errors = validate_config({"scenario": "bernstein-classical",
+                                     "N": 9600, "method": method})
+        assert errors == ["N: the run reaches Bernstein index 10100, "
+                          "above the cap 10000"]
+
+    def test_cap_error_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "statistical-counterexample",
+                                 "N": 3000, "n0": 8000}))
+        assert main(["validate", "--config", str(p)]) == 1
+        assert "error: n0: " in capsys.readouterr().err
+
 
 def run_scenario(name, tmp_path, **overrides):
     cfg, errors = validate_config({"scenario": name,
@@ -154,16 +185,6 @@ class TestCliEntryPoints:
         p.write_text("{not json")
         assert main(["validate", "--config", str(p)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
-
-    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
-        cfgfile = self._write(tmp_path, {"scenario": "regularity-audit",
-                                         "output_dir": str(tmp_path / "o")})
-        monkeypatch.setenv("KOROVKIN_LAB_THREADS", "-3")
-        assert main(["run", "--config", cfgfile]) == 1
-        monkeypatch.setenv("KOROVKIN_LAB_THREADS", "4")
-        assert main(["run", "--config", cfgfile]) == 0
-        report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["threads"] == 4
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "korovkin_lab.cli",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from korovkin_lab.funcspace import Grid, constant
 from korovkin_lab.summability import (
+    KINDS,
     ConnorCheck,
     IdealSpec,
     MatrixSpec,
@@ -20,7 +21,6 @@ from korovkin_lab.summability import (
     a_statistical_from_norms,
     a_strong_from_norms,
     almost_from_values,
-    apply_matrix,
     cesaro_matrix,
     check_regularity,
     connor_cross_check,
@@ -32,14 +32,10 @@ from korovkin_lab.summability import (
     identity_matrix,
     ideal_from_norms,
     is_modulus,
+    matrix_from_values,
     method_curve,
     norm_residual_array,
-    residual_a_strong,
-    residual_almost,
-    residual_f_strong,
-    residual_norm,
-    residual_statistical,
-    residual_strong_wp,
+    residual,
     statistical_from_norms,
     strong_wp_from_norms,
 )
@@ -60,12 +56,13 @@ def harmonic(k: int):
 
 class TestScalarResiduals:
     def test_norm_residual(self):
-        assert residual_norm(harmonic, ZERO, 4) == 0.25
+        assert norm_residual_array(harmonic, ZERO, 4)[3] == 0.25
 
     def test_statistical_counts_square_exceedances(self):
         # exceedances over eps=0.5 are exactly the isqrt(N) squares
         for N in (100, 2000, 10000):
-            assert residual_statistical(square_spiked, ZERO, 0.5, N) == math.isqrt(N) / N
+            stat = MethodSpec("statistical", epsilon=0.5)
+            assert residual(stat, square_spiked, ZERO, N) == math.isqrt(N) / N
 
     def test_statistical_strict_inequality(self):
         r = np.array([0.5, 0.5 + 1e-9, 0.1, 0.9])
@@ -77,15 +74,15 @@ class TestScalarResiduals:
         assert strong_wp_from_norms(r, 2.0, 100) == pytest.approx(expect, rel=1e-14)
 
     def test_offset_reindexes(self):
-        assert residual_norm(harmonic, ZERO, 5, n0=10) == pytest.approx(1 / 15)
+        assert norm_residual_array(harmonic, ZERO, 5, n0=10)[4] == pytest.approx(1 / 15)
         r = norm_residual_array(harmonic, ZERO, 10, n0=3)
         assert r[0] == 0.25
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            residual_statistical(harmonic, ZERO, 0.0, 10)
+            residual(MethodSpec("statistical", epsilon=0.0), harmonic, ZERO, 10)
         with pytest.raises(ValueError):
-            residual_strong_wp(harmonic, ZERO, -1.0, 10)
+            residual(MethodSpec("strong_wp", p=-1.0), harmonic, ZERO, 10)
 
 
 class TestMatrixMethods:
@@ -111,7 +108,8 @@ class TestMatrixMethods:
         assert a_statistical_from_norms(r, A, 0.5, 1) == 0.0
 
     def test_residual_a_strong_matches_array_path(self):
-        direct = residual_a_strong(square_spiked, ZERO, cesaro_matrix(), 200)
+        direct = residual(MethodSpec("a_strong", matrix=cesaro_matrix()),
+                          square_spiked, ZERO, 200)
         r = norm_residual_array(square_spiked, ZERO, 200)
         assert direct == pytest.approx(a_strong_from_norms(r, cesaro_matrix(), 200),
                                        rel=1e-14)
@@ -119,8 +117,9 @@ class TestMatrixMethods:
     def test_apply_matrix_averages_nodewise(self):
         g = Grid.unit(10)
         seq = lambda k: constant(float(k), g)
-        out = apply_matrix(seq, cesaro_matrix(), 5)
-        assert np.allclose(out.values, 3.0)
+        V = np.array([seq(k).values for k in range(1, 6)])
+        out = matrix_from_values(V, cesaro_matrix(), 5)
+        assert np.allclose(out, 3.0)
 
     def test_declared_row_sum_guard(self):
         bad = MatrixSpec("lossy", lambda n: [(1, 0.5)], declared_row_sum=1.0)
@@ -161,7 +160,8 @@ class TestModulusMethods:
         # residuals 1/k, f = sqrt: value is sqrt(H_N)/sqrt(N), H by summation
         N = 10_000
         H = sum(1.0 / k for k in range(1, N + 1))
-        got = residual_f_strong(harmonic, ZERO, SHIPPED_MODULI["sqrt"], N)
+        got = residual(MethodSpec("f_strong", modulus=SHIPPED_MODULI["sqrt"]),
+                       harmonic, ZERO, N)
         assert got == pytest.approx(math.sqrt(H) / 100.0, rel=1e-12)
 
     def test_identity_modulus_reduces_to_statistical(self):
@@ -301,12 +301,14 @@ class TestAlmost:
     def test_alternating_exact_value(self):
         seq = lambda k: constant((-1.0) ** k, GRID)
         for m in (10, 100, 1000):
-            got = residual_almost(seq, ZERO, m, 500)
+            got = residual(MethodSpec("almost", almost_m=m, almost_n_max=500),
+                           seq, ZERO, m)
             assert got == pytest.approx(1.0 / (m + 1), abs=1e-13)
 
     def test_odd_window_cancels(self):
         seq = lambda k: constant((-1.0) ** k, GRID)
-        assert residual_almost(seq, ZERO, 11, 50) <= 1e-14
+        spec = MethodSpec("almost", almost_m=11, almost_n_max=50)
+        assert residual(spec, seq, ZERO, 11) <= 1e-14
 
     def test_short_stack_rejected(self):
         V = np.zeros((5, GRID.n_nodes))
@@ -344,6 +346,47 @@ class TestMethodSpec:
                                           "rows": [[1.0], [0.5, 0.5]]}})
         j, a = m.matrix.row_entries(2)
         assert list(j) == [1, 2] and list(a) == [0.5, 0.5]
+
+    def test_custom_matrix_round_trips(self):
+        d = {"kind": "matrix", "matrix": {"name": "custom",
+                                          "rows": [[1.0], [0.5, 0.5]]}}
+        m = MethodSpec.from_dict(d)
+        assert json.loads(m.to_json()) == d
+        assert MethodSpec.from_json(m.to_json()) == m
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_round_trips(self, kind):
+        custom = {"name": "custom", "rows": [[1.0], [0.25, 0.75], [0.0, 0.5, 0.5]]}
+        examples = {
+            "norm": {},
+            "statistical": {"epsilon": 0.5},
+            "ideal": {"epsilon": 0.25, "ideal": {"kind": "finite_sets"}},
+            "strong_wp": {"p": 1.5},
+            "a_statistical": {"epsilon": 0.5, "matrix": custom},
+            "a_strong": {"matrix": {"name": "cesaro"}},
+            "f_statistical": {"epsilon": 0.5, "modulus": {"name": "log1p"}},
+            "f_strong": {"modulus": {"name": "sqrt"}},
+            "almost": {"almost": {"m": 3, "n_max": 20}},
+            "matrix": {"matrix": {"name": "doubled-cesaro"}},
+        }
+        assert set(examples) == set(KINDS)
+        m = MethodSpec.from_dict({"kind": kind, **examples[kind]})
+        text = m.to_json()
+        again = MethodSpec.from_json(text)
+        assert again == m
+        assert again.to_json() == text
+
+    def test_specs_without_wire_form_rejected_by_field(self):
+        custom_ideal = IdealSpec("custom_density",
+                                 density=lambda members, N: len(members) / N)
+        unshipped = ModulusSpec("square", lambda x: x * x)
+        relabelled = MatrixSpec("cesaro", identity_matrix().row, 1.0)
+        cases = [(MethodSpec("ideal", epsilon=0.5, ideal=custom_ideal), "ideal:"),
+                 (MethodSpec("f_strong", modulus=unshipped), "modulus:"),
+                 (MethodSpec("a_strong", matrix=relabelled), "matrix:")]
+        for spec, field in cases:
+            with pytest.raises(ValueError, match=f"^{field}"):
+                spec.to_json()
 
     def test_unknown_modulus_rejected(self):
         with pytest.raises(ValueError, match="modulus"):
