@@ -6,8 +6,6 @@ from .funcspace import (
     GridMismatchError,
     SampledFunction,
     constant,
-    dominates,
-    pointwise,
     sample,
     sup_norm,
 )

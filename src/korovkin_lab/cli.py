@@ -100,6 +100,10 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append("output_dir: must be a non-empty path")
         output_dir = "out"
 
+    for key in ("method", "operator"):
+        if entry and raw.get(key) is not None and key not in entry.reads:
+            errors.append(f"{key}: scenario {scenario!r} does not read it")
+
     if errors:
         return None, sorted(errors)
     cfg = ExperimentConfig(scenario=scenario, method=method, operator=operator,

@@ -1,5 +1,5 @@
-"""Discretized function space: uniform grids, sampled functions, sup norm,
-and the pointwise lattice operations.
+"""Discretized function space: uniform grids, sampled functions and the sup
+norm.
 
 A :class:`SampledFunction` is the artifact's stand-in for a continuous
 function on [0, 1] or on the 2*pi-periodic line: a vector of node values on a
@@ -153,13 +153,13 @@ class SampledFunction:
         return cls(grid, d["values"])
 
 
-def sample(expr: Callable[[float], float], grid: Grid) -> SampledFunction:
-    """Evaluate ``expr`` at every grid node.
+def evaluate(expr: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """Values of ``expr`` at the points ``x``.
 
-    The evaluator may be numpy-vectorized or scalar; non-finite results are
-    rejected with the offending node named.
+    The evaluator is tried once on the whole array and, if it is not
+    numpy-vectorized, called point by point; non-finite results are rejected
+    with the offending point named.
     """
-    x = grid.nodes
     try:
         v = np.asarray(expr(x), dtype=float)
         if v.shape != x.shape:
@@ -168,59 +168,28 @@ def sample(expr: Callable[[float], float], grid: Grid) -> SampledFunction:
         v = np.array([float(expr(float(t))) for t in x])
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise ValueError(f"evaluator returned non-finite value at node t={x[bad]!r}")
-    return SampledFunction(grid, v)
+        raise ValueError(f"evaluator returned non-finite value at t={float(x[bad])!r}")
+    return v
+
+
+def sample(expr: Callable[[float], float], grid: Grid) -> SampledFunction:
+    """Evaluate ``expr`` at every grid node (see :func:`evaluate`)."""
+    return SampledFunction(grid, evaluate(expr, grid.nodes))
 
 
 def constant(c: float, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, np.full(grid.n_nodes, float(c)))
 
 
-def sup_norm(f: SampledFunction) -> float:
-    """Maximum of |f| over the nodes; the duplicate endpoint of a periodic
-    grid is excluded."""
-    v = f.values[:-1] if f.grid.periodic else f.values
+def sup_values(values: np.ndarray, periodic: bool) -> float:
+    """Maximum of |values| over every entry of a node-value array or stack
+    (nodes on the last axis); on a periodic grid the duplicate endpoint is
+    excluded."""
+    v = values[..., :-1] if periodic else values
     return float(np.max(np.abs(v)))
 
 
-def dominates(f: SampledFunction, g: SampledFunction) -> bool:
-    """Pointwise order: true iff f <= g at every node (zero tolerance)."""
-    f._check(g)
-    return bool(np.all(f.values <= g.values))
-
-
-_UNARY = {"abs", "scale"}
-_NARY = {"add", "sub", "max", "min"}
-
-
-def pointwise(op: str, *args) -> SampledFunction:
-    """Nodewise lattice/vector operation.
-
-    ``op`` is one of add, sub, scale, abs, max, min.  ``scale`` takes
-    (coefficient, function); the rest take sampled functions on one grid.
-    """
-    if op == "scale":
-        c, f = args
-        return f * float(c)
-    if op == "abs":
-        (f,) = args
-        return SampledFunction(f.grid, np.abs(f.values))
-    funcs = list(args)
-    if len(funcs) < 2:
-        raise ValueError(f"{op} needs at least two operands")
-    head = funcs[0]
-    for other in funcs[1:]:
-        head._check(other)
-    stack = np.stack([f.values for f in funcs])
-    if op == "add":
-        return SampledFunction(head.grid, stack.sum(axis=0))
-    if op == "sub":
-        out = funcs[0].values.copy()
-        for other in funcs[1:]:
-            out -= other.values
-        return SampledFunction(head.grid, out)
-    if op == "max":
-        return SampledFunction(head.grid, stack.max(axis=0))
-    if op == "min":
-        return SampledFunction(head.grid, stack.min(axis=0))
-    raise ValueError(f"unknown pointwise op {op!r}")
+def sup_norm(f: SampledFunction) -> float:
+    """Maximum of |f| over the nodes; the duplicate endpoint of a periodic
+    grid is excluded."""
+    return sup_values(f.values, f.grid.periodic)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import Grid, SampledFunction, constant, sample, sup_norm
+from .funcspace import Grid, SampledFunction, sample, sup_values
 from .operators import OperatorSequence, named_operator, residual_table
 from .summability import (
     KINDS,
@@ -76,10 +76,6 @@ class KorovkinTestSet:
     def sampled(self, grid: Grid) -> list[SampledFunction]:
         self.check_grid(grid)
         return [sample(f, grid) for f in self.evals]
-
-    @classmethod
-    def for_grid(cls, grid: Grid) -> "KorovkinTestSet":
-        return cls.trigonometric() if grid.periodic else cls.algebraic()
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +154,20 @@ def bound_ratio_curve(ops: OperatorSequence, f_eval: Callable,
     the curve.
     """
     grid = ops.grid
-    testset.check_grid(grid)
-    # the test triple is cached on the operator; the probe is anonymous and
-    # computed per call so unrelated probes cannot alias in the cache
-    table = residual_table(ops, list(zip(testset.names, testset.evals)),
-                           testset.sampled(grid), max(indices))
-    f_lim = sample(f_eval, grid)
+    probes = list(zip(testset.names, testset.evals)) + [("f", f_eval)]
+    table = residual_table(ops, probes, testset.sampled(grid) + [sample(f_eval, grid)],
+                           max(indices))
+    return _bound_ratios(table.norms, testset.names, ["f"], indices)
+
+
+def _bound_ratios(norms: dict, tests: Sequence[str], probes: Sequence[str],
+                  indices: Sequence[int]) -> list[tuple[int, float]]:
+    """(n, worst probe residual / sum of test residuals) at each index n, or
+    nan where the denominator is below RATIO_FLOOR."""
     out = []
     for n in indices:
-        D = sum(table.norms[nm][n - 1] for nm in testset.names)
-        num = sup_norm(ops.apply(n, f_eval) - f_lim)
+        D = sum(norms[nm][n - 1] for nm in tests)
+        num = max(norms[nm][n - 1] for nm in probes) if probes else 0.0
         out.append((n, float(num / D) if D >= RATIO_FLOOR else math.nan))
     return out
 
@@ -251,11 +251,8 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
 
     test_curves = {nm: curve(nm) for nm in testset.names}
     probe_curves = {nm: curve(nm) for nm, _ in probes}
-    ratios = []
-    for n in indices:
-        D = sum(table.norms[nm][n - 1] for nm in testset.names)
-        num = max(table.norms[nm][n - 1] for nm, _ in probes) if probes else 0.0
-        ratios.append((n, float(num / D) if D >= RATIO_FLOOR else math.nan))
+    ratios = _bound_ratios(table.norms, testset.names, [nm for nm, _ in probes],
+                           indices)
     report = KorovkinReport(method, test_curves, probe_curves, ratios, False)
     report.verdict_equivalence = report.tests_consistent == report.probes_consistent
     return report
@@ -343,14 +340,16 @@ def squeeze_trial_order(method: MethodSpec, C: float, seed: int, N: int = 200,
     """One randomized trial of the order-squeeze for the averaging kinds.
 
     Builds three sequences converging nodewise to smooth limits, and w
-    trapped by the two-sided nodewise bound |w_n - w| <= C*(|x_n-x| +
-    |y_n-y| + |z_n-z|); asserts the averaged (window-mean or matrix-row)
-    nodewise bound exactly (the kind's ``order_squeeze`` form in ``KINDS``),
-    then that w's own residual curve is consistent.
+    trapped by the two-sided nodewise bound |w_n - w| <= C*S_n with S_n =
+    |x_n-x| + |y_n-y| + |z_n-z|.  At every truncation n of a ladder up to the
+    largest whose rows fit in the N terms, asserts that the kind's averages
+    (its ``average`` in ``KINDS``) keep the bound: |avg(w - w_lim)| <= C*avg(S);
+    then that w's residual curve, max|avg(w - w_lim)| at the same n, is
+    consistent.
     """
     kind = method.kind
-    squeeze = KINDS[kind].order_squeeze
-    if squeeze is None:
+    average = KINDS[kind].average
+    if average is None:
         raise ValueError(f"method kind {kind!r} does not support the order squeeze")
     if C < 0:
         raise ValueError("C must be nonnegative")
@@ -384,9 +383,20 @@ def squeeze_trial_order(method: MethodSpec, C: float, seed: int, N: int = 200,
         return SqueezeReport(kind, C, seed, STATUS_HYPOTHESIS,
                              "order bound fails at a node")
 
-    detail, verdict = squeeze(method, W, S, SampledFunction(grid, wbar), C, N, tau)
-    if detail is not None:
-        return SqueezeReport(kind, C, seed, STATUS_FAIL, detail)
+    # W - w and S side by side, so each prefix sum or matrix row is read once
+    k = grid.n_nodes
+    average_at = average(method, np.hstack([W - wbar, S]))
+    # the largest truncation whose rows fit in the N terms (rows(n) - n is fixed)
+    top = N - (KINDS[kind].rows(method, [N]) - N)
+    pts = []
+    for n in curve_indices(top):
+        avg = average_at(n)
+        dev = avg[..., :k]
+        if np.any(np.abs(dev) > C * avg[..., k:] + 1e-12):
+            return SqueezeReport(kind, C, seed, STATUS_FAIL,
+                                 f"averaged bound fails at truncation {n}")
+        pts.append((n, sup_values(dev, grid.periodic)))
+    verdict = decide_verdict(pts, tau)
     if verdict != VERDICT_CONSISTENT:
         return SqueezeReport(kind, C, seed, STATUS_FAIL,
                              f"w residual curve verdict {verdict}")

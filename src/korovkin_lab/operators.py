@@ -10,13 +10,13 @@ evaluator onto its grid and then works purely with quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .funcspace import Grid, SampledFunction, sample, sup_norm
+from .funcspace import Grid, SampledFunction, evaluate, sample, sup_norm
 
 MAX_BERNSTEIN_INDEX = 10_000
 
@@ -35,19 +35,6 @@ def _lgamma(n_max: int) -> np.ndarray:
     if len(_lgamma_table) <= n_max:
         _lgamma_table = gammaln(np.arange(1, n_max + 2, dtype=float))
     return _lgamma_table
-
-
-def _eval_on(f_eval: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        v = np.asarray(f_eval(x), dtype=float)
-        if v.shape != x.shape:
-            raise TypeError
-    except Exception:
-        v = np.array([float(f_eval(float(t))) for t in x])
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise ValueError(f"non-finite evaluation at t={x[bad]!r}")
-    return v
 
 
 def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
@@ -142,7 +129,7 @@ def bernstein_apply_batch(n: int, f_evals: Sequence[Callable],
     if grid.periodic or grid.a != 0.0 or grid.b != 1.0:
         raise ValueError("Bernstein operators require a non-periodic grid on [0, 1]")
     kn = np.arange(n + 1) / n
-    fvals = [_eval_on(f, kn) for f in f_evals]
+    fvals = [evaluate(f, kn) for f in f_evals]
     outs = _bernstein_batch_values(n, fvals, grid.nodes)
     return [SampledFunction(grid, v) for v in outs]
 
@@ -202,9 +189,6 @@ def perfect_squares() -> BinarySequence:
 class OperatorSequence:
     """Indexed family n -> positive linear operator on sampled functions."""
 
-    kind = "custom"
-    min_index = 1
-
     def __init__(self, grid: Grid):
         self.grid = grid
 
@@ -216,8 +200,6 @@ class OperatorSequence:
 
 
 class BernsteinOperators(OperatorSequence):
-    kind = "bernstein"
-
     def apply(self, n, f_eval):
         return bernstein_apply(n, f_eval, self.grid)
 
@@ -226,9 +208,6 @@ class BernsteinOperators(OperatorSequence):
 
 
 class FejerOperators(OperatorSequence):
-    kind = "fejer"
-    min_index = 0
-
     def apply(self, n, f_eval):
         return fejer_apply(n, sample(f_eval, self.grid))
 
@@ -236,13 +215,10 @@ class FejerOperators(OperatorSequence):
 class ModulatedOperators(OperatorSequence):
     """(1 + z_n) * base_n, the counterexample construction."""
 
-    kind = "modulated"
-
     def __init__(self, base: OperatorSequence, z: BinarySequence):
         super().__init__(base.grid)
         self.base = base
         self.z = z
-        self.min_index = base.min_index
 
     def apply(self, n, f_eval):
         return (1 + self.z(n)) * self.base.apply(n, f_eval)
@@ -250,18 +226,6 @@ class ModulatedOperators(OperatorSequence):
     def apply_batch(self, n, f_evals):
         c = 1 + self.z(n)
         return [c * g for g in self.base.apply_batch(n, f_evals)]
-
-
-class CustomOperators(OperatorSequence):
-    """Wrap an arbitrary (n, f_eval, grid) -> SampledFunction rule."""
-
-    def __init__(self, grid: Grid, fn: Callable, name: str = "custom"):
-        super().__init__(grid)
-        self.fn = fn
-        self.name = name
-
-    def apply(self, n, f_eval):
-        return self.fn(n, f_eval, self.grid)
 
 
 def named_operator(name: str, grid: Grid | None = None) -> OperatorSequence:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import Grid, SampledFunction, constant, sample
+from .funcspace import Grid, constant, sample
 from .korovkin import (
     KorovkinTestSet,
     STATUS_HYPOTHESIS,
@@ -175,7 +175,7 @@ def run_almost_alternating(cfg) -> ScenarioResult:
     L = constant(0.0, grid)
     n_max = 500
     mm = [2 * v for v in curve_indices(cfg.N // 2, start=5)]
-    method = MethodSpec("almost", almost_m=max(mm), almost_n_max=n_max)
+    method = MethodSpec("almost", almost_n_max=n_max)
     curve = method_curve(method, seq=seq, L=L, N=cfg.N, tau=cfg.tau,
                          n0=cfg.n0, indices=mm)
     exact = all(abs(v - 1.0 / (m + 1)) <= 1e-12 for m, v in curve.points)
@@ -284,8 +284,7 @@ def run_squeeze_audit(cfg) -> ScenarioResult:
         verdicts[f"norm_{kind}"] = "pass" if statuses == {STATUS_PASS} else "fail"
         expected[f"norm_{kind}"] = "pass"
         lines.append(f"  norm squeeze [{kind}] -> {verdicts[f'norm_{kind}']}")
-    for label, method in (("almost", MethodSpec("almost", almost_m=10,
-                                                almost_n_max=50)),
+    for label, method in (("almost", MethodSpec("almost", almost_n_max=50)),
                           ("cesaro", MethodSpec("matrix", matrix=cesaro_matrix())),
                           ("identity", MethodSpec("matrix",
                                                   matrix=identity_matrix()))):
@@ -347,6 +346,9 @@ class ScenarioEntry:
     #: largest Bernstein index a run with the given config applies; None for
     #: scenarios that apply no Bernstein operator
     bernstein_depth: Callable | None = None
+    #: which of the config's ``method`` and ``operator`` selectors the runner
+    #: reads; setting any other is a config error
+    reads: tuple[str, ...] = ()
 
 
 def _probe_depth(cfg) -> int:
@@ -363,7 +365,7 @@ REGISTRY: dict[str, ScenarioEntry] = {
     "bernstein-classical": ScenarioEntry(
         run_bernstein_classical,
         "polynomial operators, sup-norm method, algebraic test set",
-        {"N": 200, "tau": 0.02, "grid_m": 200}, _probe_depth),
+        {"N": 200, "tau": 0.02, "grid_m": 200}, _probe_depth, reads=("method",)),
     "statistical-counterexample": ScenarioEntry(
         run_statistical_counterexample,
         "square-modulated operators: norm-divergent, density-convergent",
@@ -379,7 +381,7 @@ REGISTRY: dict[str, ScenarioEntry] = {
     "fejer-trig": ScenarioEntry(
         run_fejer_trig,
         "kernel-averaged operators on the periodic test set",
-        {"N": 250, "tau": 0.08, "grid_m": 256}),
+        {"N": 250, "tau": 0.08, "grid_m": 256}, reads=("method",)),
     "f-modulus-sweep": ScenarioEntry(
         run_f_modulus_sweep,
         "modulus-deformed exceedance densities plus the modulus validator",
@@ -391,5 +393,5 @@ REGISTRY: dict[str, ScenarioEntry] = {
     "regularity-audit": ScenarioEntry(
         run_regularity_audit,
         "three-condition regularity check of named matrices",
-        {"N": 400, "tau": 0.05, "grid_m": 50}),
+        {"N": 400, "tau": 0.05, "grid_m": 50}, reads=("operator",)),
 }

@@ -16,12 +16,12 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import SampledFunction, sup_norm
+from .funcspace import SampledFunction, sup_norm, sup_values
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -177,7 +177,6 @@ class MethodSpec:
     matrix: MatrixSpec | None = None
     modulus: ModulusSpec | None = None
     ideal: IdealSpec | None = None
-    almost_m: int | None = None
     almost_n_max: int | None = None
 
     def __post_init__(self):
@@ -216,8 +215,8 @@ class MethodSpec:
                 raise ValueError(f"ideal: a {self.ideal.kind} ideal with a density "
                                  "functional has no JSON form")
             d["ideal"] = {"kind": self.ideal.kind}
-        if self.almost_m is not None or self.almost_n_max is not None:
-            d["almost"] = {"m": self.almost_m, "n_max": self.almost_n_max}
+        if self.almost_n_max is not None:
+            d["almost"] = {"n_max": self.almost_n_max}
         return d
 
     def to_json(self) -> str:
@@ -225,9 +224,12 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MethodSpec":
+        """Load a spec from its wire form; a key this method does not read,
+        at the top level or inside a nested object, is a ValueError."""
+        _known_keys(d, ("kind", "p", "epsilon", "matrix", "modulus", "ideal", "almost"))
         matrix = None
         if "matrix" in d:
-            md = d["matrix"]
+            md = _known_keys(d["matrix"], ("name", "rows"), "matrix")
             name = md.get("name", "custom")
             if name == "custom":
                 matrix = _custom_matrix(md["rows"])
@@ -237,21 +239,30 @@ class MethodSpec:
                 raise ValueError(f"unknown matrix name {name!r}")
         modulus = None
         if "modulus" in d:
-            name = d["modulus"]["name"]
+            name = _known_keys(d["modulus"], ("name",), "modulus")["name"]
             if name not in SHIPPED_MODULI:
                 raise ValueError(f"unknown modulus {name!r}")
             modulus = SHIPPED_MODULI[name]
         ideal = None
         if "ideal" in d:
-            ideal = IdealSpec(d["ideal"]["kind"])
-        almost = d.get("almost", {})
+            ideal = IdealSpec(_known_keys(d["ideal"], ("kind",), "ideal")["kind"])
+        almost = _known_keys(d.get("almost", {}), ("n_max",), "almost")
         return cls(kind=d["kind"], p=d.get("p"), epsilon=d.get("epsilon"),
                    matrix=matrix, modulus=modulus, ideal=ideal,
-                   almost_m=almost.get("m"), almost_n_max=almost.get("n_max"))
+                   almost_n_max=almost.get("n_max"))
 
     @classmethod
     def from_json(cls, text: str) -> "MethodSpec":
         return cls.from_dict(json.loads(text))
+
+
+def _known_keys(d: dict, keys: tuple[str, ...], where: str = "") -> dict:
+    """``d`` itself, after checking that it has no key outside ``keys``."""
+    extra = sorted(set(d) - set(keys))
+    if extra:
+        raise ValueError(f"unknown key {extra[0]!r}"
+                         + (f" in {where}" if where else ""))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +343,15 @@ def _value_stack(seq: SequenceFn, L: SampledFunction, count: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _sup(values: np.ndarray, periodic: bool) -> float:
-    v = values[:-1] if periodic else values
-    return float(np.max(np.abs(v)))
+def _prefix_sums(V: np.ndarray) -> np.ndarray:
+    """P[k] = V[0] + ... + V[k-1], with P[0] = 0."""
+    return np.vstack([np.zeros((1, V.shape[1])), np.cumsum(V, axis=0)])
+
+
+def _window_means(P: np.ndarray, m: int, n_max: int) -> np.ndarray:
+    """Row n-1 is the mean of the length-(m+1) window V[n-1 .. n+m-1], for the
+    starts n = 1..n_max, read off the prefix sums P of V."""
+    return (P[m + 1: m + n_max + 1] - P[:n_max]) / (m + 1)
 
 
 def almost_from_values(V: np.ndarray, L: SampledFunction, m: int, n_max: int) -> float:
@@ -343,12 +360,13 @@ def almost_from_values(V: np.ndarray, L: SampledFunction, m: int, n_max: int) ->
         raise ValueError("need m >= 0 and n_max >= 1")
     if len(V) < n_max + m:
         raise ValueError("value stack too short for requested windows")
-    P = np.vstack([np.zeros((1, V.shape[1])), np.cumsum(V, axis=0)])
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        avg = (P[n + m] - P[n - 1]) / (m + 1)
-        worst = max(worst, _sup(avg - L.values, L.grid.periodic))
-    return worst
+    means = _window_means(_prefix_sums(V), m, n_max)
+    return sup_values(means - L.values, L.grid.periodic)
+
+
+def _window_average(spec: "MethodSpec", V: np.ndarray) -> Callable[[int], np.ndarray]:
+    P = _prefix_sums(V)
+    return lambda n: _window_means(P, n, spec.almost_n_max)
 
 
 def matrix_from_values(V: np.ndarray, A: MatrixSpec, n: int) -> np.ndarray:
@@ -361,10 +379,8 @@ def matrix_from_values(V: np.ndarray, A: MatrixSpec, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# squeeze forms: a norm form takes residual norms a, b, c, d <= C*(a+b+c) and
-# returns the 0-based indices where the finite-N squeeze fails; an order form
-# takes a stack W with |W - L| <= C*S nodewise and returns (failure detail or
-# None, verdict of w's residual curve)
+# norm-squeeze forms: each takes residual norms a, b, c, d <= C*(a+b+c) and
+# returns the 0-based indices where the finite-N squeeze fails
 
 
 def _union_bound(exceeds: Callable) -> Callable:
@@ -414,40 +430,6 @@ def _a_strong_row_violations(A: MatrixSpec, a, b, c, d, C: float, N: int) -> np.
     return np.flatnonzero(lhs > rhs + 1e-10 * scale)
 
 
-def _window_order_squeeze(spec, W, S, L, C, N, tau):
-    """Window means of w stay within C times the window means of S at every
-    start up to n_max; then w's almost curve over a window-length ladder."""
-    m, n_max = spec.almost_m, spec.almost_n_max
-    if len(W) < n_max + m:
-        raise ValueError("N too small for the requested windows")
-    P = lambda M_: np.vstack([np.zeros((1, W.shape[1])), np.cumsum(M_, axis=0)])
-    Pw, Ps = P(W - L.values), P(S)
-    for n in range(1, n_max + 1):
-        avg_w = (Pw[n + m] - Pw[n - 1]) / (m + 1)
-        avg_s = (Ps[n + m] - Ps[n - 1]) / (m + 1)
-        if np.any(np.abs(avg_w) > C * avg_s + 1e-12):
-            return f"averaged bound fails at window start {n}", None
-    m_top = N - n_max
-    if m_top < 18:
-        raise ValueError("N too small to form a window-length ladder")
-    mm = list(range(2, m_top + 1, max(2, 2 * (m_top // 24))))
-    return None, method_curve(spec, values=W, L=L, N=N, tau=tau, indices=mm).verdict
-
-
-def _row_order_squeeze(spec, W, S, L, C, N, tau):
-    """Every matrix row of w - L stays within C times the same row of S;
-    then the verdict of w's row residuals."""
-    pts = []
-    for n in curve_indices(N):
-        j, w = spec.matrix.row_entries(n)
-        row_w = w @ (W[j - 1] - L.values)
-        row_s = w @ S[j - 1]
-        if np.any(np.abs(row_w) > C * row_s + 1e-12):
-            return f"weighted bound fails at row {n}", None
-        pts.append((n, float(np.max(np.abs(row_w)))))
-    return None, decide_verdict(pts, tau)
-
-
 # ---------------------------------------------------------------------------
 # the kind table
 
@@ -458,15 +440,20 @@ class Kind:
     truncation n (the window length for ``almost``), read off the norm table,
     or the node-value stack if ``reads_values``, both starting at index 1;
     ``rows(spec, ns)`` counts the table rows read for the truncations ns;
-    ``requires`` pairs checks on a MethodSpec with their errors; the squeeze
-    forms are described above, None where the kind has none."""
+    ``requires`` pairs checks on a MethodSpec with their errors;
+    ``norm_squeeze`` is the kind's norm-squeeze form (described above).
+    For the averaging kinds, ``average(spec, V)`` maps n to the averages the
+    kind takes of the value stack V at truncation n: the ``almost_n_max``
+    window means of length n+1, or row n of the matrix.  Each squeeze form
+    is None where the kind has none."""
 
     point: Callable[["MethodSpec", np.ndarray, SampledFunction, int], float]
     requires: tuple[tuple[Callable[["MethodSpec"], bool], str], ...] = ()
     reads_values: bool = False
     rows: Callable[["MethodSpec", Sequence[int]], int] = lambda spec, ns: max(ns)
     norm_squeeze: Callable | None = None
-    order_squeeze: Callable | None = None
+    average: Callable[["MethodSpec", np.ndarray],
+                      Callable[[int], np.ndarray]] | None = None
 
 
 _NEEDS_EPSILON = (lambda s: s.epsilon is not None and s.epsilon > 0,
@@ -513,17 +500,16 @@ KINDS: dict[str, Kind] = {
         norm_squeeze=_modulus_violations),
     "almost": Kind(
         lambda s, V, L, n: almost_from_values(V, L, n, s.almost_n_max),
-        requires=((lambda s: s.almost_m is not None and s.almost_m >= 0,
-                   "almost needs window m >= 0"),
-                  (lambda s: s.almost_n_max is not None and s.almost_n_max >= 1,
-                   "almost needs n_max >= 1")),
+        requires=((lambda s: s.almost_n_max is not None and s.almost_n_max >= 1,
+                   "almost needs n_max >= 1"),),
         reads_values=True, rows=lambda s, ns: max(ns) + s.almost_n_max,
-        order_squeeze=_window_order_squeeze),
+        average=_window_average),
     "matrix": Kind(
-        lambda s, V, L, n: _sup(matrix_from_values(V, s.matrix, n) - L.values,
-                                L.grid.periodic),
+        lambda s, V, L, n: sup_values(matrix_from_values(V, s.matrix, n) - L.values,
+                                      L.grid.periodic),
         requires=(_NEEDS_MATRIX,),
-        reads_values=True, order_squeeze=_row_order_squeeze),
+        reads_values=True,
+        average=lambda s, V: lambda n: matrix_from_values(V, s.matrix, n)),
 }
 
 
@@ -693,7 +679,6 @@ class ResidualCurve:
     method: MethodSpec
     points: list[tuple[int, float]]
     verdict: str
-    limit: SampledFunction | None = None
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -740,7 +725,7 @@ def method_curve(method: MethodSpec, *, norms: np.ndarray | None = None,
         table = _table(kind, seq, L, n0 + kind.rows(method, indices))
     r = table[n0:]
     pts = [(n, kind.point(method, r, L, n)) for n in indices]
-    return ResidualCurve(method, pts, decide_verdict(pts, tau), L)
+    return ResidualCurve(method, pts, decide_verdict(pts, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from korovkin_lab.funcspace import (
     TWO_PI,
     close,
     constant,
-    dominates,
-    pointwise,
     sample,
     sup_norm,
+    sup_values,
 )
 
 UNIT = Grid.unit(50)
@@ -117,6 +116,13 @@ class TestNorm:
         # max over distinct nodes counts index 0 once; still 3
         assert sup_norm(f) == 3.0
 
+    def test_stack_drops_periodic_endpoint_of_every_row(self):
+        stack = np.zeros((3, 9))
+        stack[:, -1] = 5.0
+        stack[1, 4] = -2.0
+        assert sup_values(stack, periodic=True) == 2.0
+        assert sup_values(stack, periodic=False) == 5.0
+
     @given(values(), values())
     @settings(max_examples=50, deadline=None)
     def test_triangle_inequality(self, xs, ys):
@@ -132,40 +138,12 @@ class TestNorm:
 
 
 class TestOrderAndLattice:
-    def test_dominates_zero_tolerance(self):
-        f = constant(1.0, UNIT)
-        g = constant(float(np.nextafter(1.0, 2.0)), UNIT)
-        assert dominates(f, g)
-        assert not dominates(g, f)
-
-    @given(values(), values())
-    @settings(max_examples=50, deadline=None)
-    def test_max_dominates_both(self, xs, ys):
-        f = SampledFunction(UNIT, xs)
-        g = SampledFunction(UNIT, ys)
-        top = pointwise("max", f, g)
-        assert dominates(f, top) and dominates(g, top)
-        bottom = pointwise("min", f, g)
-        assert dominates(bottom, f) and dominates(bottom, g)
-
-    @given(values())
-    @settings(max_examples=50, deadline=None)
-    def test_abs_bounds(self, xs):
-        f = SampledFunction(UNIT, xs)
-        a = pointwise("abs", f)
-        assert dominates(f, a) and dominates(-f, a)
-        assert sup_norm(a) == sup_norm(f)
-
     def test_add_sub_scale(self):
         f = constant(2.0, UNIT)
         g = constant(3.0, UNIT)
-        assert np.all(pointwise("add", f, g).values == 5.0)
-        assert np.all(pointwise("sub", f, g).values == -1.0)
-        assert np.all(pointwise("scale", -2.0, f).values == -4.0)
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            pointwise("convolve", constant(1.0, UNIT), constant(1.0, UNIT))
+        assert np.all((f + g).values == 5.0)
+        assert np.all((f - g).values == -1.0)
+        assert np.all((-2.0 * f).values == -4.0)
 
 
 def test_close_combines_tolerances():

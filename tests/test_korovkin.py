@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from korovkin_lab.funcspace import Grid
+from korovkin_lab.funcspace import Grid, sample
 from korovkin_lab.korovkin import (
     ContinuityBudget,
     KorovkinTestSet,
@@ -21,7 +21,7 @@ from korovkin_lab.korovkin import (
     squeeze_trial_order,
     _squeeze_norm_sequences,
 )
-from korovkin_lab.operators import BernsteinOperators, named_operator
+from korovkin_lab.operators import BernsteinOperators, OperatorSequence, named_operator
 from korovkin_lab.summability import (
     IdealSpec,
     MatrixSpec,
@@ -52,10 +52,6 @@ class TestTestSets:
             KorovkinTestSet.trigonometric().check_grid(GRID)
         with pytest.raises(ValueError):
             KorovkinTestSet.algebraic().check_grid(Grid.circle())
-
-    def test_for_grid_picks_flavor(self):
-        assert KorovkinTestSet.for_grid(GRID).flavor == "algebraic"
-        assert KorovkinTestSet.for_grid(Grid.circle()).flavor == "trigonometric"
 
     def test_sampled_triple(self):
         e0, e1, e2 = ALGEBRAIC.sampled(GRID)
@@ -125,7 +121,7 @@ class TestBoundRatios:
         assert max(vals) < 2.0
         # oracle at n=10: both sides computed directly
         from korovkin_lab.operators import bernstein_apply
-        from korovkin_lab.funcspace import sample, sup_norm
+        from korovkin_lab.funcspace import sup_norm
         num = sup_norm(bernstein_apply(10, t3, GRID) - sample(t3, GRID))
         e2 = ALGEBRAIC.evals[2]
         den = sup_norm(bernstein_apply(10, e2, GRID) - sample(e2, GRID))
@@ -133,11 +129,21 @@ class TestBoundRatios:
         assert got == pytest.approx(num / den, rel=1e-9)
 
     def test_exact_operator_gives_undefined_ratio(self):
-        from korovkin_lab.operators import CustomOperators
-        from korovkin_lab.funcspace import sample
-        exact = CustomOperators(GRID, lambda n, f, g: sample(f, g), "exact")
-        pts = bound_ratio_curve(exact, t3, ALGEBRAIC, [5, 6])
+        class Exact(OperatorSequence):
+            def apply(self, n, f_eval):
+                return sample(f_eval, self.grid)
+
+        pts = bound_ratio_curve(Exact(GRID), t3, ALGEBRAIC, [5, 6])
         assert all(math.isnan(v) for _, v in pts)
+
+    def test_matches_probe_ratios(self):
+        indices = list(range(5, 51, 5))
+        probed = korovkin_probe(named_operator("bernstein", GRID), MethodSpec("norm"),
+                                ALGEBRAIC, [("t3", t3)], N=50, tau=0.02,
+                                indices=indices)
+        pts = bound_ratio_curve(named_operator("bernstein", GRID), t3, ALGEBRAIC,
+                                indices)
+        assert pts == probed.bound_ratios
 
 
 class TestKorovkinProbe:
@@ -262,11 +268,12 @@ class TestSqueezeNorm:
 
 
 class TestSqueezeOrder:
-    @pytest.mark.parametrize("m", [10, 50, 200])
-    def test_almost_windows(self, m):
-        spec = MethodSpec("almost", almost_m=m, almost_n_max=50)
+    @pytest.mark.parametrize("N", [300, 400])
+    def test_almost_windows(self, N):
+        # every window length on the ladder 10..N-50, at every start 1..50
+        spec = MethodSpec("almost", almost_n_max=50)
         for seed in range(20):
-            assert squeeze_trial_order(spec, 2.0, seed, N=400).status == STATUS_PASS
+            assert squeeze_trial_order(spec, 2.0, seed, N=N).status == STATUS_PASS
 
     @pytest.mark.parametrize("A", [cesaro_matrix(), identity_matrix()],
                              ids=lambda a: a.name)
@@ -276,8 +283,9 @@ class TestSqueezeOrder:
             assert squeeze_trial_order(spec, 2.0, seed, N=300).status == STATUS_PASS
 
     def test_degenerate_C_zero(self):
-        spec = MethodSpec("matrix", matrix=cesaro_matrix())
-        assert squeeze_trial_order(spec, 0.0, 5, N=300).status == STATUS_PASS
+        for spec in (MethodSpec("matrix", matrix=cesaro_matrix()),
+                     MethodSpec("almost", almost_n_max=50)):
+            assert squeeze_trial_order(spec, 0.0, 5, N=300).status == STATUS_PASS
 
     def test_unsupported_kind_named(self):
         with pytest.raises(ValueError, match="statistical"):

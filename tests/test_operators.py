@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from korovkin_lab.funcspace import Grid, constant, sample, sup_norm
 from korovkin_lab.operators import (
+    BernsteinOperators,
     BinarySequence,
+    FejerOperators,
     ModulatedOperators,
     MAX_BERNSTEIN_INDEX,
     bernstein_apply,
@@ -84,6 +86,11 @@ class TestBernsteinMoments:
             got = bernstein_apply(301, f, coarse).values[
                 int(round(x * coarse.m))]
             assert got == pytest.approx(oracle, abs=1e-12)
+
+    def test_non_finite_node_value_named(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match=r"t=0\.0\b"):
+                bernstein_apply(5, lambda t: 1.0 / np.asarray(t, dtype=float), GRID)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -180,9 +187,9 @@ class TestModulated:
 
 class TestNamedOperators:
     def test_names(self):
-        assert named_operator("bernstein").kind == "bernstein"
-        assert named_operator("fejer").kind == "fejer"
-        assert named_operator("modulated-squares").kind == "modulated"
+        assert isinstance(named_operator("bernstein"), BernsteinOperators)
+        assert isinstance(named_operator("fejer"), FejerOperators)
+        assert isinstance(named_operator("modulated-squares"), ModulatedOperators)
         with pytest.raises(ValueError, match="unknown operator"):
             named_operator("volterra")
 

@@ -69,11 +69,33 @@ class TestValidation:
         assert errors == []
 
     def test_almost_windows_count_toward_bernstein_cap(self):
-        method = {"kind": "almost", "almost": {"m": 0, "n_max": 500}}
+        method = {"kind": "almost", "almost": {"n_max": 500}}
         _, errors = validate_config({"scenario": "bernstein-classical",
                                      "N": 9600, "method": method})
         assert errors == ["N: the run reaches Bernstein index 10100, "
                           "above the cap 10000"]
+
+    def test_unread_almost_window_rejected(self):
+        method = {"kind": "almost", "almost": {"m": 0, "n_max": 500}}
+        _, errors = validate_config({"scenario": "bernstein-classical",
+                                     "method": method})
+        assert errors == ["method: unknown key 'm' in almost"]
+
+    @pytest.mark.parametrize("raw,error", [
+        ({"scenario": "cesaro-matrix",
+          "method": {"kind": "statistical", "epsilon": 0.5}},
+         "method: scenario 'cesaro-matrix' does not read it"),
+        ({"scenario": "fejer-trig", "operator": "bernstein"},
+         "operator: scenario 'fejer-trig' does not read it"),
+    ], ids=["method", "operator"])
+    def test_selector_the_scenario_ignores_rejected(self, raw, error, tmp_path,
+                                                    capsys):
+        cfg, errors = validate_config(raw)
+        assert cfg is None and errors == [error]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(p)]) == 1
+        assert f"error: {error}" in capsys.readouterr().err
 
     def test_cap_error_exits_one(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -280,7 +280,7 @@ class TestCurves:
     def test_almost_curve_on_alternating(self):
         seq = lambda k: constant((-1.0) ** k, GRID)
         even = [m for m in range(10, 1001, 2)][::12]
-        m = MethodSpec("almost", almost_m=0, almost_n_max=100)
+        m = MethodSpec("almost", almost_n_max=100)
         c = method_curve(m, seq=seq, L=ZERO, N=1000, tau=0.01, indices=even)
         # residual at even window length m is exactly 1/(m+1)
         for mm, v in c.points:
@@ -300,14 +300,14 @@ class TestCurves:
 class TestAlmost:
     def test_alternating_exact_value(self):
         seq = lambda k: constant((-1.0) ** k, GRID)
+        spec = MethodSpec("almost", almost_n_max=500)
         for m in (10, 100, 1000):
-            got = residual(MethodSpec("almost", almost_m=m, almost_n_max=500),
-                           seq, ZERO, m)
+            got = residual(spec, seq, ZERO, m)
             assert got == pytest.approx(1.0 / (m + 1), abs=1e-13)
 
     def test_odd_window_cancels(self):
         seq = lambda k: constant((-1.0) ** k, GRID)
-        spec = MethodSpec("almost", almost_m=11, almost_n_max=50)
+        spec = MethodSpec("almost", almost_n_max=50)
         assert residual(spec, seq, ZERO, 11) <= 1e-14
 
     def test_short_stack_rejected(self):
@@ -327,7 +327,7 @@ class TestMethodSpec:
         with pytest.raises(ValueError):
             MethodSpec("a_strong")             # missing matrix
         with pytest.raises(ValueError):
-            MethodSpec("almost", almost_m=3)   # missing n_max
+            MethodSpec("almost")               # missing n_max
 
     def test_json_round_trip(self):
         m = MethodSpec("f_statistical", epsilon=0.5,
@@ -366,7 +366,7 @@ class TestMethodSpec:
             "a_strong": {"matrix": {"name": "cesaro"}},
             "f_statistical": {"epsilon": 0.5, "modulus": {"name": "log1p"}},
             "f_strong": {"modulus": {"name": "sqrt"}},
-            "almost": {"almost": {"m": 3, "n_max": 20}},
+            "almost": {"almost": {"n_max": 20}},
             "matrix": {"matrix": {"name": "doubled-cesaro"}},
         }
         assert set(examples) == set(KINDS)
@@ -387,6 +387,15 @@ class TestMethodSpec:
         for spec, field in cases:
             with pytest.raises(ValueError, match=f"^{field}"):
                 spec.to_json()
+
+    @pytest.mark.parametrize("d", [
+        {"kind": "almost", "almost": {"m": 3, "n_max": 20}},
+        {"kind": "norm", "window": 3},
+        {"kind": "f_strong", "modulus": {"name": "sqrt", "scale": 2}},
+    ])
+    def test_unread_keys_rejected(self, d):
+        with pytest.raises(ValueError, match="unknown key"):
+            MethodSpec.from_dict(d)
 
     def test_unknown_modulus_rejected(self):
         with pytest.raises(ValueError, match="modulus"):
