@@ -237,6 +237,11 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
     if indices is None:
         indices = curve_indices(N)
     all_probes = list(zip(testset.names, testset.evals)) + list(probes)
+    names = [nm for nm, _ in all_probes]
+    for i, nm in enumerate(names):
+        if nm in names[:i]:
+            raise ValueError(f"probe {nm!r}: name already used by the test set "
+                             "or another probe")
     limits = {nm: sample(f, grid) for nm, f in all_probes}
     kind = KINDS[method.kind]
     table = residual_table(ops, all_probes, list(limits.values()),

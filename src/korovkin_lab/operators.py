@@ -2,9 +2,10 @@
 
 Shipped kinds: Bernstein polynomials on [0, 1], Fejer means on the periodic
 grid, and the modulated sequence (1 + z_n) * B_n used as the Korovkin
-counterexample.  Every operator consumes a function *evaluator* (a callable on
-reals) so that Bernstein can read values off the grid; Fejer samples the
-evaluator onto its grid and then works purely with quadrature.
+counterexample.  Each family implements one primitive, ``apply_batch(n,
+f_evals)``: L_n on a batch of function *evaluators* (callables on reals), so
+that Bernstein can read values off the grid; Fejer samples the evaluators onto
+its grid and then works purely with quadrature.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ _FULL_MATRIX_LIMIT = 300
 _WINDOW_SIGMAS = 6.0
 _WINDOW_PAD = 16
 
-_lgamma_table = np.array([0.0])
-
-
-def _lgamma(n_max: int) -> np.ndarray:
-    """Cached table of log(k!) for k = 0..n_max."""
-    global _lgamma_table
-    if len(_lgamma_table) <= n_max:
-        _lgamma_table = gammaln(np.arange(1, n_max + 2, dtype=float))
-    return _lgamma_table
+# log(k!) for k = 0..MAX_BERNSTEIN_INDEX, built once and never replaced
+_LOG_FACTORIAL = gammaln(np.arange(1, MAX_BERNSTEIN_INDEX + 2, dtype=float))
 
 
 def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
@@ -52,7 +46,7 @@ def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
     n above the full-matrix limit only a window of ~7.5 standard deviations
     around the mode is kept (truncated tail mass below 1e-12).
     """
-    lg = _lgamma(n)
+    lg = _LOG_FACTORIAL
     interior = (x > 0.0) & (x < 1.0)
     xi = x[interior]
     mode = np.rint(n * xi).astype(np.int64)
@@ -152,20 +146,21 @@ def fejer_kernel(n: int, u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(s) < 1e-12, float(n + 1), val)
 
 
-def fejer_apply(n: int, f: SampledFunction) -> SampledFunction:
-    """Fejer mean sigma_n f via trapezoidal quadrature of the kernel
-    convolution on the periodic grid."""
+def fejer_apply(n: int, f_evals: Sequence[Callable],
+                grid: Grid) -> list[SampledFunction]:
+    """Fejer means sigma_n f via trapezoidal quadrature of the kernel
+    convolution on the periodic grid: one kernel matrix, one mat-vec per f."""
     if n < 0:
         raise ValueError("Fejer index must be >= 0")
-    grid = f.grid
     if not grid.periodic:
         raise ValueError("Fejer means require a periodic grid")
+    fs = [sample(f, grid) for f in f_evals]
     t = grid.nodes[:-1]
     # circulant kernel matrix; (1/2pi) integral becomes a plain mean on the
     # uniform periodic grid
     K = fejer_kernel(n, t[:, None] - t[None, :])
-    out = K @ f.values[:-1] / grid.m
-    return SampledFunction(grid, np.append(out, out[0]))
+    outs = [K @ f.values[:-1] / grid.m for f in fs]
+    return [SampledFunction(grid, np.append(out, out[0])) for out in outs]
 
 
 @dataclass(frozen=True)
@@ -187,29 +182,24 @@ def perfect_squares() -> BinarySequence:
 
 
 class OperatorSequence:
-    """Indexed family n -> positive linear operator on sampled functions."""
+    """Indexed family n -> positive linear operator; ``apply_batch`` is its
+    one primitive."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
 
-    def apply(self, n: int, f_eval: Callable) -> SampledFunction:
-        raise NotImplementedError
-
     def apply_batch(self, n: int, f_evals: Sequence[Callable]) -> list[SampledFunction]:
-        return [self.apply(n, f) for f in f_evals]
+        raise NotImplementedError
 
 
 class BernsteinOperators(OperatorSequence):
-    def apply(self, n, f_eval):
-        return bernstein_apply(n, f_eval, self.grid)
-
     def apply_batch(self, n, f_evals):
         return bernstein_apply_batch(n, f_evals, self.grid)
 
 
 class FejerOperators(OperatorSequence):
-    def apply(self, n, f_eval):
-        return fejer_apply(n, sample(f_eval, self.grid))
+    def apply_batch(self, n, f_evals):
+        return fejer_apply(n, f_evals, self.grid)
 
 
 class ModulatedOperators(OperatorSequence):
@@ -219,9 +209,6 @@ class ModulatedOperators(OperatorSequence):
         super().__init__(base.grid)
         self.base = base
         self.z = z
-
-    def apply(self, n, f_eval):
-        return (1 + self.z(n)) * self.base.apply(n, f_eval)
 
     def apply_batch(self, n, f_evals):
         c = 1 + self.z(n)
@@ -259,21 +246,22 @@ def positivity_audit(ops: OperatorSequence, indices: Sequence[int],
     grid = ops.grid
     mins, witness = [], None
     for n in indices:
-        worst = math.inf
-        for trial in range(trials):
+        # draw all trials first, keeping the rng order the reported minima
+        # depend on, then apply them as one batch
+        probes = []
+        for _ in range(trials):
             nb = int(rng.integers(4, 10))
             xs = np.sort(rng.uniform(grid.a, grid.b, nb))
             xs = np.concatenate(([grid.a], xs, [grid.b]))
             ys = rng.uniform(0.0, 1.0, len(xs))
             if grid.periodic:
                 ys[-1] = ys[0]
-            probe = lambda t, xs=xs, ys=ys: np.interp(t, xs, ys)
-            low = float(np.min(ops.apply(n, probe).values))
-            if low < worst:
-                worst = low
-                if low < -1e-12 and witness is None:
-                    witness = (n, trial, low)
-        mins.append(worst)
+            probes.append(lambda t, xs=xs, ys=ys: np.interp(t, xs, ys))
+        lows = [float(np.min(out.values)) for out in ops.apply_batch(n, probes)]
+        if witness is None:
+            witness = next(((n, trial, low) for trial, low in enumerate(lows)
+                            if low < -1e-12), None)
+        mins.append(min(lows))
     passed = all(v >= -1e-12 for v in mins)
     return PositivityReport(list(indices), mins, passed, witness)
 
@@ -302,7 +290,8 @@ def residual_table(ops: OperatorSequence, probes: Sequence[tuple[str, Callable]]
     by the probe's name, and holds each evaluator so its id stays unique.
     """
     cache, held = ops.__dict__.setdefault("_residual_cache", (ResidualTable(), {}))
-    keys = [(id(f), lim.values.tobytes()) for (_, f), lim in zip(probes, limits)]
+    keys = [(id(f), lim.values.tobytes())
+            for (_, f), lim in zip(probes, limits, strict=True)]
     held.update(zip(keys, (f for _, f in probes)))
     done = min((len(cache.norms.get(k, ())) for k in keys), default=0)
     if keep_values:

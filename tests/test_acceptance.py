@@ -164,7 +164,7 @@ def test_acceptance_07_fejer_eigen_relations():
     cos_s = sample(np.cos, grid)
     u = np.linspace(0.0, 2.0 * math.pi, 16385)
     for n in (9, 99):
-        out = fejer_apply(n, cos_s)
+        out = fejer_apply(n, [np.cos], grid)[0]
         shrunk = (n / (n + 1.0)) * cos_s
         assert sup_norm(out - shrunk) <= 1e-8
         # independent kernel-quadrature oracle at a few nodes
@@ -173,7 +173,7 @@ def test_acceptance_07_fejer_eigen_relations():
             oracle = np.trapezoid(np.cos(u) * fejer_kernel(n, x - u), u) \
                 / (2.0 * math.pi)
             assert out.values[idx] == pytest.approx(oracle, abs=1e-8)
-    res = sup_norm(fejer_apply(99, cos_s) - cos_s)
+    res = sup_norm(fejer_apply(99, [np.cos], grid)[0] - cos_s)
     assert abs(res - 0.01) <= 1e-8
     _stamp(7, start, 5.0)
 

@@ -130,8 +130,8 @@ class TestBoundRatios:
 
     def test_exact_operator_gives_undefined_ratio(self):
         class Exact(OperatorSequence):
-            def apply(self, n, f_eval):
-                return sample(f_eval, self.grid)
+            def apply_batch(self, n, f_evals):
+                return [sample(f, self.grid) for f in f_evals]
 
         pts = bound_ratio_curve(Exact(GRID), t3, ALGEBRAIC, [5, 6])
         assert all(math.isnan(v) for _, v in pts)
@@ -187,6 +187,21 @@ class TestKorovkinProbe:
                                N=200, tau=0.02)
         assert reused.probe_curves["p"].points == fresh.probe_curves["p"].points
         assert reused.probe_curves["p"].points[-1][1] == pytest.approx(1.665, abs=1e-3)
+
+    @pytest.mark.parametrize("probes,name", [
+        ([("e0", t3)], "e0"),
+        ([("p", t3), ("p", np.exp)], "p"),
+    ], ids=["test-set-name", "probe-name"])
+    def test_repeated_probe_name_rejected(self, probes, name):
+        # a repeated name lets one limit replace another: a probe "e0" ended
+        # the e0 test curve at 1.0, and two probes "p" gave one "p" curve
+        ops = named_operator("bernstein", Grid.unit(50))
+        with pytest.raises(ValueError, match=f"probe '{name}'"):
+            korovkin_probe(ops, MethodSpec("norm"), ALGEBRAIC, probes,
+                           N=50, tau=0.02)
+        rep = korovkin_probe(ops, MethodSpec("norm"), ALGEBRAIC, [("c", t3)],
+                             N=50, tau=0.02)
+        assert rep.test_curves["e0"].points[-1][1] == 0.0
 
     def test_json_and_csv_bundle(self):
         ops = named_operator("bernstein", GRID)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korovkin_lab.funcspace import Grid, constant, sample, sup_norm
+from korovkin_lab.korovkin import KorovkinTestSet
 from korovkin_lab.operators import (
     BernsteinOperators,
     BinarySequence,
@@ -13,7 +14,6 @@ from korovkin_lab.operators import (
     ModulatedOperators,
     MAX_BERNSTEIN_INDEX,
     bernstein_apply,
-    bernstein_apply_batch,
     fejer_apply,
     fejer_kernel,
     named_operator,
@@ -100,11 +100,6 @@ class TestBernsteinMoments:
         with pytest.raises(ValueError):
             bernstein_apply(5, e0, Grid.circle())
 
-    def test_batch_matches_single(self):
-        outs = bernstein_apply_batch(37, [e0, e1, e2], GRID)
-        for f, out in zip([e0, e1, e2], outs):
-            assert np.array_equal(out.values, bernstein_apply(37, f, GRID).values)
-
 
 class TestBernsteinProperties:
     @given(st.integers(1, 80), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -139,20 +134,19 @@ class TestFejer:
     def test_eigen_relation_cos_sin(self, n):
         shrink = n / (n + 1)
         for f, name in ((np.cos, "cos"), (np.sin, "sin")):
-            out = fejer_apply(n, sample(f, CIRCLE))
+            out = fejer_apply(n, [f], CIRCLE)[0]
             expect = shrink * sample(f, CIRCLE).values
             assert np.max(np.abs(out.values - expect)) <= 1e-10
 
     def test_constant_fixed(self):
-        out = fejer_apply(25, constant(2.0, CIRCLE))
+        out = fejer_apply(25, [lambda t: 2.0], CIRCLE)[0]
         assert sup_norm(out - constant(2.0, CIRCLE)) <= 1e-12
 
     def test_quadrature_oracle(self):
         # independent dense-trapezoid convolution oracle
         n = 9
         f = lambda t: np.sin(2.0 * t) + 0.3 * np.cos(t)
-        fs = sample(f, CIRCLE)
-        out = fejer_apply(n, fs)
+        out = fejer_apply(n, [f], CIRCLE)[0]
         u = np.linspace(0.0, 2.0 * math.pi, 16385)
         for idx in (0, 50, 128, 200):
             x = CIRCLE.nodes[idx]
@@ -162,17 +156,17 @@ class TestFejer:
 
     def test_requires_periodic_grid(self):
         with pytest.raises(ValueError):
-            fejer_apply(3, constant(1.0, GRID))
+            fejer_apply(3, [e0], GRID)
 
 
 class TestModulated:
     def test_doubles_exactly_on_squares(self):
         ops = ModulatedOperators(named_operator("bernstein", GRID), perfect_squares())
         for n in (4, 9, 16, 100):
-            out = ops.apply(n, e0)
+            out = ops.apply_batch(n, [e0])[0]
             assert sup_norm(out - constant(2.0, GRID)) == 0.0
         for n in (2, 3, 5, 99):
-            out = ops.apply(n, e0)
+            out = ops.apply_batch(n, [e0])[0]
             assert sup_norm(out - constant(1.0, GRID)) == 0.0
 
     def test_membership_sequence(self):
@@ -193,6 +187,20 @@ class TestNamedOperators:
         with pytest.raises(ValueError, match="unknown operator"):
             named_operator("volterra")
 
+    @pytest.mark.parametrize("name,grid,indices,fs", [
+        ("bernstein", GRID, (37, 4000), [e0, e1, e2]),
+        ("fejer", CIRCLE, (9, 99),
+         [*KorovkinTestSet.trigonometric().evals, lambda t: np.sin(2.0 * t)]),
+        ("modulated-squares", GRID, (16, 17), [e0, e1, e2]),
+    ], ids=["bernstein", "fejer", "modulated-squares"])
+    def test_batch_matches_single(self, name, grid, indices, fs):
+        ops = named_operator(name, grid)
+        for n in indices:
+            outs = ops.apply_batch(n, fs)
+            assert len(outs) == len(fs)
+            for f, out in zip(fs, outs):
+                assert np.array_equal(out.values, ops.apply_batch(n, [f])[0].values)
+
     @pytest.mark.parametrize("name,indices", [("bernstein", range(1, 12)),
                                               ("fejer", range(0, 11)),
                                               ("modulated-squares", range(1, 12))])
@@ -201,6 +209,26 @@ class TestNamedOperators:
         report = positivity_audit(ops, indices, trials=4, seed=7)
         assert report.passed
         assert report.witness is None
+
+    def test_batched_audit_keeps_the_draws(self):
+        # replay the audit's rng draws and apply each probe on its own
+        ops = named_operator("fejer")
+        grid = ops.grid
+        report = positivity_audit(ops, range(0, 11), trials=5, seed=7)
+        rng = np.random.default_rng(7)
+        expect = []
+        for n in range(0, 11):
+            lows = []
+            for _ in range(5):
+                nb = int(rng.integers(4, 10))
+                xs = np.sort(rng.uniform(grid.a, grid.b, nb))
+                xs = np.concatenate(([grid.a], xs, [grid.b]))
+                ys = rng.uniform(0.0, 1.0, len(xs))
+                ys[-1] = ys[0]
+                probe = lambda t, xs=xs, ys=ys: np.interp(t, xs, ys)
+                lows.append(float(np.min(fejer_apply(n, [probe], grid)[0].values)))
+            expect.append(min(lows))
+        assert report.min_values == expect
 
 
 class TestResidualTable:
@@ -236,6 +264,11 @@ class TestResidualTable:
                                keep_values=True)
         assert len(table.norms["a"]) == 10 and len(table.values["b"]) == 10
         assert table.norms["a"][9] == sup_norm(bernstein_apply(10, e2, GRID) - lim)
+
+    def test_probes_and_limits_must_pair_up(self):
+        ops = named_operator("bernstein", GRID)
+        with pytest.raises(ValueError):
+            residual_table(ops, [("a", e2), ("b", e1)], [sample(e2, GRID)], 5)
 
     def test_values_kept_on_request(self):
         ops = named_operator("bernstein", Grid.unit(10))

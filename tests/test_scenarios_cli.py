@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,24 @@ from korovkin_lab.cli import main, run, validate_config
 from korovkin_lab.scenarios import REGISTRY
 
 ALL_SCENARIOS = sorted(REGISTRY)
+
+# sha256 of every artifact of each scenario at its registered defaults; a
+# change that alters an artifact on purpose records the new digests in this
+# file and explains the diff
+ARTIFACT_DIGESTS = json.loads(
+    Path(__file__).with_name("artifact_digests.json").read_text())
+
+
+def artifact_digests(out):
+    """sha256 per artifact file, with report.json's output_dir line dropped."""
+    digests = {}
+    for p in sorted(out.iterdir()):
+        data = p.read_bytes()
+        if p.name == "report.json":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.strip().startswith(b'"output_dir":'))
+        digests[p.name] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 class TestValidation:
@@ -123,6 +143,10 @@ class TestScenarioRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["matched"] is True
         assert report["verdicts"] == report["expected"]
+        got, want = artifact_digests(out), ARTIFACT_DIGESTS[name]
+        differ = sorted(f for f in got.keys() | want.keys()
+                        if got.get(f) != want.get(f))
+        assert not differ, f"artifacts differ from the recorded digests: {differ}"
 
     def test_counterexample_report_content(self, tmp_path):
         code, out = run_scenario("statistical-counterexample", tmp_path, N=2000)
