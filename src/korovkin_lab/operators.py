@@ -10,6 +10,7 @@ its grid and then works purely with quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,14 +55,15 @@ def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
     logx = np.log(xi)
     log1mx = np.log1p(-xi)
     logw_mode = (lg[n] - lg[mode] - lg[n - mode]) + mode * logx + (n - mode) * log1mx
+    F = np.array(f_node_values)
+    anchors = F[:, mode]
 
     if n <= _FULL_MATRIX_LIMIT:
         # exact full weight matrix, shape (columns, k)
         k = np.arange(n + 1)[None, :]
         logw = (lg[n] - lg[k] - lg[n - k]) + k * logx[:, None] + (n - k) * log1mx[:, None]
         w = np.exp(logw)
-        anchors = [fv[mode] for fv in f_node_values]
-        g = np.stack([fv[None, :] - a[:, None] for fv, a in zip(f_node_values, anchors)])
+        g = F[:, None, :] - anchors[:, :, None]
     else:
         half = int(_WINDOW_SIGMAS * math.sqrt(0.25 * n)) + _WINDOW_PAD
         width = 2 * half + 1
@@ -89,20 +91,18 @@ def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
             w[i, : half - mode[i]] = 0.0
         for i in right:
             w[i, half + (n - mode[i]) + 1:] = 0.0
-        anchors = [fv[mode] for fv in f_node_values]
-        g = np.empty((len(f_node_values), len(xi), width))
-        pad = np.empty(n + 1 + 2 * half)
-        for p, (fv, a) in enumerate(zip(f_node_values, anchors)):
-            pad[:half] = fv[0]
-            pad[half: half + n + 1] = fv
-            pad[half + n + 1:] = fv[-1]
-            g[p] = swv(pad, width)[mode]
-            g[p] -= a[:, None]
+        # every probe's node values, edge-extended by `half` on each side
+        pad = np.empty((len(F), n + 1 + 2 * half))
+        pad[:, :half] = F[:, :1]
+        pad[:, half: half + n + 1] = F
+        pad[:, half + n + 1:] = F[:, -1:]
+        g = swv(pad, width, axis=1)[:, mode]
+        g -= anchors[:, :, None]
 
     dots = np.einsum("iw,piw->pi", w, g)
 
     outs = []
-    for a, dot, fv in zip(anchors, dots, f_node_values):
+    for a, dot, fv in zip(anchors, dots, F):
         res = np.empty_like(x)
         res[interior] = a + dot
         if x[0] <= 0.0:
@@ -146,6 +146,24 @@ def fejer_kernel(n: int, u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(s) < 1e-12, float(n + 1), val)
 
 
+@functools.lru_cache(maxsize=8)
+def _node_differences(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of t_i - t_j over the grid's nodes, and for each
+    (i, j) the position of t_i - t_j among them (both read-only).
+
+    A periodic grid's m^2 differences take only a few thousand distinct
+    floats, so a kernel evaluated on them and gathered back is the kernel on
+    the full difference matrix, bit for bit.
+    """
+    t = grid.nodes[:-1]
+    u = t[:, None] - t[None, :]
+    diffs = np.unique(u)
+    where = np.searchsorted(diffs, u)
+    diffs.flags.writeable = False
+    where.flags.writeable = False
+    return diffs, where
+
+
 def fejer_apply(n: int, f_evals: Sequence[Callable],
                 grid: Grid) -> list[SampledFunction]:
     """Fejer means sigma_n f via trapezoidal quadrature of the kernel
@@ -155,10 +173,10 @@ def fejer_apply(n: int, f_evals: Sequence[Callable],
     if not grid.periodic:
         raise ValueError("Fejer means require a periodic grid")
     fs = [sample(f, grid) for f in f_evals]
-    t = grid.nodes[:-1]
     # circulant kernel matrix; (1/2pi) integral becomes a plain mean on the
     # uniform periodic grid
-    K = fejer_kernel(n, t[:, None] - t[None, :])
+    diffs, where = _node_differences(grid)
+    K = fejer_kernel(n, diffs)[where]
     outs = [K @ f.values[:-1] / grid.m for f in fs]
     return [SampledFunction(grid, np.append(out, out[0])) for out in outs]
 

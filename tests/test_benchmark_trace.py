@@ -9,7 +9,7 @@ import numpy as np
 from korovkin_lab import cli, funcspace, korovkin, operators, scenarios, summability
 from korovkin_lab.funcspace import Grid
 from korovkin_lab.korovkin import KorovkinTestSet
-from korovkin_lab.operators import BernsteinOperators
+from korovkin_lab.operators import BernsteinOperators, FejerOperators
 from korovkin_lab.summability import MethodSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,3 +37,18 @@ def test_trace_wraps_this_tree_and_restores_it(monkeypatch):
         now = vars(owner)
         assert all(now.get(name) is value for name, value in saved.items()), owner
     assert all(scenarios.REGISTRY[name] is entry for name, entry in registry.items())
+
+
+def test_trace_sees_each_fejer_kernel(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    with tracing.instrumented(tracing.Tracer()) as tr:
+        korovkin.korovkin_probe(FejerOperators(Grid.circle(64)), MethodSpec("norm"),
+                                KorovkinTestSet.trigonometric(),
+                                [("sin2t", lambda t: np.sin(2.0 * np.asarray(t)))],
+                                N=10, tau=0.1, indices=range(1, 11))
+    spans = tr.totals()["operators.fejer"][2]
+    assert spans == 10
+    # one kernel per index, on the 411 distinct node differences at m = 64
+    assert tr.counts["operators.fejer_kernel_elements"] == spans * 411

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from korovkin_lab import operators
 from korovkin_lab.funcspace import Grid, constant, sample, sup_norm
 from korovkin_lab.korovkin import KorovkinTestSet
 from korovkin_lab.operators import (
@@ -158,6 +161,52 @@ class TestFejer:
         with pytest.raises(ValueError):
             fejer_apply(3, [e0], GRID)
 
+    @pytest.mark.parametrize("m", [4, 5, 7, 64, 255, 256, 257, 512])
+    def test_gathered_kernel_is_the_dense_kernel(self, m):
+        grid = Grid.circle(m)
+        t = grid.nodes[:-1]
+        diffs, where = operators._node_differences(grid)
+        for n in (0, 1, 9, 99, 127, 128, 250, 1000):
+            dense = fejer_kernel(n, t[:, None] - t[None, :])
+            assert np.array_equal(fejer_kernel(n, diffs)[where], dense)
+
+    def test_node_differences_cached_and_read_only(self):
+        diffs, where = cached = operators._node_differences(Grid.circle(64))
+        assert operators._node_differences(Grid.circle(64)) is cached
+        for arr in (diffs, where):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_first_call_from_threads(self):
+        # more threads than cores, released together on an empty cache, with
+        # a short switch interval to interleave the cache fill
+        grid = Grid.circle(300)
+        fs = [np.cos, lambda t: np.sin(2.0 * t)]
+        t = grid.nodes[:-1]
+        K = fejer_kernel(17, t[:, None] - t[None, :])
+        expect = [K @ f(t) / grid.m for f in fs]
+        operators._node_differences.cache_clear()
+        start = threading.Barrier(4)
+        outs = [None] * 4
+
+        def work(i):
+            start.wait(timeout=30)
+            outs[i] = [out.values[:-1] for out in fejer_apply(17, fs, grid)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got in outs:
+            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+
 
 class TestModulated:
     def test_doubles_exactly_on_squares(self):
@@ -188,7 +237,8 @@ class TestNamedOperators:
             named_operator("volterra")
 
     @pytest.mark.parametrize("name,grid,indices,fs", [
-        ("bernstein", GRID, (37, 4000), [e0, e1, e2]),
+        ("bernstein", GRID, (37, 4000),
+         [e0, e1, e2, lambda t: np.exp(2.0 * t), lambda t: 0.7]),
         ("fejer", CIRCLE, (9, 99),
          [*KorovkinTestSet.trigonometric().evals, lambda t: np.sin(2.0 * t)]),
         ("modulated-squares", GRID, (16, 17), [e0, e1, e2]),
