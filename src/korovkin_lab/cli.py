@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -67,6 +68,9 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         if isinstance(v, bool) or not isinstance(v, (int, float)) \
                 or (integer and not isinstance(v, int)):
             errors.append(f"{key}: must be {'an integer' if integer else 'a number'}")
+            return default
+        if isinstance(v, float) and not math.isfinite(v):
+            errors.append(f"{key}: must be a finite number")
             return default
         if minimum is not None and (v <= minimum if strict else v < minimum):
             op = ">" if strict else ">="
@@ -167,13 +171,18 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_config(path: str) -> tuple[ExperimentConfig | None, list[str]]:
+def _load_config(path: str, overrides: dict) -> tuple[ExperimentConfig | None, list[str]]:
+    """Read and validate a config file.  Each ``overrides`` value that is not
+    None (a command-line flag) replaces the file's field before validation,
+    so it is checked like one."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         return None, [f"config: cannot read {path}: {exc}"]
     except json.JSONDecodeError as exc:
         return None, [f"config: invalid JSON: {exc}"]
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
     return validate_config(raw)
 
 
@@ -200,7 +209,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: {REGISTRY[name].description}")
         return 0
 
-    cfg, errors = _load_config(args.config)
+    overrides = {}
+    if args.command == "run":
+        overrides = {"output_dir": args.output_dir, "seed": args.seed}
+    cfg, errors = _load_config(args.config, overrides)
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
@@ -210,10 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(asdict(cfg), sort_keys=True, indent=2))
         return 0
 
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    if args.seed is not None:
-        cfg.seed = args.seed
     return run(cfg)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .funcspace import Grid, SampledFunction, evaluate, sample, sup_norm
 
@@ -28,8 +27,25 @@ _FULL_MATRIX_LIMIT = 300
 _WINDOW_SIGMAS = 6.0
 _WINDOW_PAD = 16
 
-# log(k!) for k = 0..MAX_BERNSTEIN_INDEX, built once and never replaced
-_LOG_FACTORIAL = gammaln(np.arange(1, MAX_BERNSTEIN_INDEX + 2, dtype=float))
+
+@functools.cache
+def _log_factorial() -> np.ndarray:
+    """log(k!) for k = 0..MAX_BERNSTEIN_INDEX (read-only), built on the first
+    Bernstein application so that importing the package does not pay for
+    ``scipy.special``."""
+    from scipy.special import gammaln
+
+    # Free one untouched 16 MiB block.  On glibc this raises the mmap
+    # threshold to 16 MiB and the trim threshold to 32 MiB (the "dynamic mmap
+    # threshold" in mallopt(3)), so the few MB of window temporaries each
+    # Bernstein index frees stay mapped for the next index instead of being
+    # returned to the kernel and faulted in again.  The pages are never
+    # written, so this costs no resident memory; elsewhere it is a plain
+    # allocate-and-free.
+    np.empty(1 << 21)
+    table = gammaln(np.arange(1, MAX_BERNSTEIN_INDEX + 2, dtype=float))
+    table.flags.writeable = False
+    return table
 
 
 def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
@@ -47,7 +63,7 @@ def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
     n above the full-matrix limit only a window of ~7.5 standard deviations
     around the mode is kept (truncated tail mass below 1e-12).
     """
-    lg = _LOG_FACTORIAL
+    lg = _log_factorial()
     interior = (x > 0.0) & (x < 1.0)
     xi = x[interior]
     mode = np.rint(n * xi).astype(np.int64)

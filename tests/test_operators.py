@@ -1,4 +1,7 @@
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
 
@@ -102,6 +105,60 @@ class TestBernsteinMoments:
             bernstein_apply(MAX_BERNSTEIN_INDEX + 1, e0, GRID)
         with pytest.raises(ValueError):
             bernstein_apply(5, e0, Grid.circle())
+
+
+class TestFirstBernsteinUse:
+    def test_log_factorial_table(self):
+        from scipy.special import gammaln
+        table = operators._log_factorial()
+        assert np.array_equal(
+            table, gammaln(np.arange(1, MAX_BERNSTEIN_INDEX + 2, dtype=float)))
+        assert not table.flags.writeable
+        assert operators._log_factorial() is table
+
+    def test_first_call_from_threads(self):
+        # more threads than cores, released together on an empty cache, with
+        # a short switch interval to interleave the cache fill
+        expect = operators._log_factorial().copy()
+        operators._log_factorial.cache_clear()
+        start = threading.Barrier(4)
+        outs = [None] * 4
+
+        def work(i):
+            start.wait(timeout=30)
+            outs[i] = operators._log_factorial()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got in outs:
+            assert np.array_equal(got, expect) and not got.flags.writeable
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator priming acts on glibc malloc")
+    def test_windowed_path_does_not_refault(self):
+        # each windowed index frees a few MB of temporaries; were they handed
+        # back to the kernel between indices, this run would make ~800k
+        # minor faults
+        script = ("import resource\n"
+                  "from korovkin_lab.korovkin import counterexample_run\n"
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "counterexample_run(4000, 0.5, grid_m=100)\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                  " - before)\n")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 100_000
 
 
 class TestBernsteinProperties:

@@ -117,6 +117,39 @@ class TestValidation:
         assert main(["validate", "--config", str(p)]) == 1
         assert f"error: {error}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw,error", [
+        ({"scenario": "statistical-counterexample", "N": 200,
+          "tau": float("nan")}, "tau: must be a finite number"),
+        ({"scenario": "statistical-counterexample", "N": 200,
+          "epsilon": float("inf")}, "epsilon: must be a finite number"),
+        ({"scenario": "f-modulus-sweep", "epsilon": float("nan")},
+         "epsilon: must be a finite number"),
+    ], ids=["tau-nan", "epsilon-inf", "f-modulus-epsilon-nan"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_number_rejected(self, raw, error, command, tmp_path,
+                                        capsys):
+        # json reads NaN and Infinity literals; a NaN compares False
+        # against every bound
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(raw, output_dir=str(tmp_path / "out"))))
+        assert main([command, "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,error", [
+        (["--seed", "-3"], "seed: must be >= 0"),
+        (["--output-dir", ""], "output_dir: must be a non-empty path"),
+    ], ids=["seed", "output-dir"])
+    def test_run_overrides_are_validated(self, flags, error, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "fejer-trig",
+                                 "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(p)] + flags) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_cap_error_exits_one(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"scenario": "statistical-counterexample",
@@ -231,6 +264,27 @@ class TestCliEntryPoints:
         p.write_text("{not json")
         assert main(["validate", "--config", str(p)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["list-scenarios"],
+        ["validate", "--config", "CONFIG"],
+    ], ids=["import", "list-scenarios", "validate"])
+    def test_scipy_special_not_imported(self, argv, tmp_path):
+        # scipy.special is most of the import time and only the Bernstein
+        # log-factorial table needs it
+        cfgfile = self._write(tmp_path, {
+            "scenario": "bernstein-classical",
+            "method": {"kind": "statistical", "epsilon": 0.5}})
+        argv = [cfgfile if a == "CONFIG" else a for a in argv]
+        script = ("import sys\n"
+                  "from korovkin_lab.cli import main\n"
+                  f"code = main({argv!r}) if {argv!r} else 0\n"
+                  "print(code, 'scipy.special' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "korovkin_lab.cli",
