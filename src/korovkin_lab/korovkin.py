@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import Grid, SampledFunction, sample, sup_values
+from .funcspace import Grid, sample, sup_values
 from .operators import OperatorSequence, named_operator, residual_table
 from .summability import (
     KINDS,
@@ -72,10 +72,6 @@ class KorovkinTestSet:
             raise ValueError("trigonometric test set needs a periodic grid")
         if self.flavor == "algebraic" and grid.periodic:
             raise ValueError("algebraic test set needs a non-periodic grid")
-
-    def sampled(self, grid: Grid) -> list[SampledFunction]:
-        self.check_grid(grid)
-        return [sample(f, grid) for f in self.evals]
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +149,9 @@ def bound_ratio_curve(ops: OperatorSequence, f_eval: Callable,
     carries no bound information at that index, and hiding that would skew
     the curve.
     """
-    grid = ops.grid
+    testset.check_grid(ops.grid)
     probes = list(zip(testset.names, testset.evals)) + [("f", f_eval)]
-    table = residual_table(ops, probes, testset.sampled(grid) + [sample(f_eval, grid)],
-                           max(indices))
+    table = residual_table(ops, probes, max(indices))
     return _bound_ratios(table.norms, testset.names, ["f"], indices)
 
 
@@ -232,8 +227,7 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
     """Residual curves for the test triple and each probe under one method,
     plus the ratio diagnostic.  ``bound_ratios`` uses the worst probe at each
     index so a single curve bounds them all."""
-    grid = ops.grid
-    testset.check_grid(grid)
+    testset.check_grid(ops.grid)
     if indices is None:
         indices = curve_indices(N)
     all_probes = list(zip(testset.names, testset.evals)) + list(probes)
@@ -242,16 +236,14 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
         if nm in names[:i]:
             raise ValueError(f"probe {nm!r}: name already used by the test set "
                              "or another probe")
-    limits = {nm: sample(f, grid) for nm, f in all_probes}
     kind = KINDS[method.kind]
-    table = residual_table(ops, all_probes, list(limits.values()),
-                           n0 + kind.rows(method, indices),
+    table = residual_table(ops, all_probes, n0 + kind.rows(method, indices),
                            keep_values=kind.reads_values)
 
     def curve(nm: str) -> ResidualCurve:
         kw = ({"values": table.values[nm]} if kind.reads_values
               else {"norms": table.norms[nm]})
-        return method_curve(method, L=limits[nm], N=N, tau=tau, n0=n0,
+        return method_curve(method, L=table.limits[nm], N=N, tau=tau, n0=n0,
                             indices=indices, **kw)
 
     test_curves = {nm: curve(nm) for nm in testset.names}
@@ -495,9 +487,7 @@ def counterexample_run(N: int, epsilon: float, grid_m: int = 200,
         tau = 0.05
     ops = named_operator("modulated-squares", Grid.unit(grid_m))
     testset = KorovkinTestSet.algebraic()
-    probes = list(zip(testset.names, testset.evals))
-    limits = [sample(f, ops.grid) for f in testset.evals]
-    table = residual_table(ops, probes, limits, N + n0)
+    table = residual_table(ops, list(zip(testset.names, testset.evals)), N + n0)
 
     squares = [j * j for j in range(1, math.isqrt(N) + 1)]
     square_res = {nm: [(n, float(table.norms[nm][n - 1])) for n in squares]

@@ -5,19 +5,20 @@ grid, and the modulated sequence (1 + z_n) * B_n used as the Korovkin
 counterexample.  Each family implements one primitive, ``apply_batch(n,
 f_evals)``: L_n on a batch of function *evaluators* (callables on reals), so
 that Bernstein can read values off the grid; Fejer samples the evaluators onto
-its grid and then works purely with quadrature.
+its grid and then works purely with quadrature.  The primitive returns the
+batch's node values as one ``(len(f_evals), grid.n_nodes)`` array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import Grid, SampledFunction, evaluate, sample, sup_norm
+from .funcspace import Grid, SampledFunction, evaluate, sample
 
 MAX_BERNSTEIN_INDEX = 10_000
 
@@ -49,8 +50,9 @@ def _log_factorial() -> np.ndarray:
 
 
 def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
-                            x: np.ndarray) -> list[np.ndarray]:
-    """Apply B_n to several functions given their values at the nodes k/n.
+                            x: np.ndarray) -> np.ndarray:
+    """Apply B_n to several functions given their values at the nodes k/n;
+    row p of the result is B_n f_p at the points x.
 
     The binomial weights are shared across the batch.  Each output value is
     computed as f(anchor) + sum_k w_k * (f_k - f(anchor)) with the anchor at
@@ -115,23 +117,19 @@ def _bernstein_batch_values(n: int, f_node_values: Sequence[np.ndarray],
         g = swv(pad, width, axis=1)[:, mode]
         g -= anchors[:, :, None]
 
-    dots = np.einsum("iw,piw->pi", w, g)
-
-    outs = []
-    for a, dot, fv in zip(anchors, dots, F):
-        res = np.empty_like(x)
-        res[interior] = a + dot
-        if x[0] <= 0.0:
-            res[x <= 0.0] = fv[0]
-        if x[-1] >= 1.0:
-            res[x >= 1.0] = fv[-1]
-        outs.append(res)
-    return outs
+    out = np.empty((len(F), len(x)))
+    out[:, interior] = anchors + np.einsum("iw,piw->pi", w, g)
+    if x[0] <= 0.0:
+        out[:, x <= 0.0] = F[:, :1]
+    if x[-1] >= 1.0:
+        out[:, x >= 1.0] = F[:, -1:]
+    return out
 
 
 def bernstein_apply_batch(n: int, f_evals: Sequence[Callable],
-                          grid: Grid) -> list[SampledFunction]:
-    """B_n f for several f at once, sharing the weight computation."""
+                          grid: Grid) -> np.ndarray:
+    """B_n f for several f at once, sharing the weight computation: one row
+    of node values per f."""
     if n < 1:
         raise ValueError("Bernstein index must be >= 1")
     if n > MAX_BERNSTEIN_INDEX:
@@ -139,9 +137,7 @@ def bernstein_apply_batch(n: int, f_evals: Sequence[Callable],
     if grid.periodic or grid.a != 0.0 or grid.b != 1.0:
         raise ValueError("Bernstein operators require a non-periodic grid on [0, 1]")
     kn = np.arange(n + 1) / n
-    fvals = [evaluate(f, kn) for f in f_evals]
-    outs = _bernstein_batch_values(n, fvals, grid.nodes)
-    return [SampledFunction(grid, v) for v in outs]
+    return _bernstein_batch_values(n, [evaluate(f, kn) for f in f_evals], grid.nodes)
 
 
 def bernstein_apply(n: int, f_eval: Callable, grid: Grid) -> SampledFunction:
@@ -150,7 +146,7 @@ def bernstein_apply(n: int, f_eval: Callable, grid: Grid) -> SampledFunction:
     B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k); f is evaluated at the
     Bernstein nodes k/n, not at the grid nodes.
     """
-    return bernstein_apply_batch(n, [f_eval], grid)[0]
+    return SampledFunction(grid, bernstein_apply_batch(n, [f_eval], grid)[0])
 
 
 def fejer_kernel(n: int, u: np.ndarray) -> np.ndarray:
@@ -180,21 +176,25 @@ def _node_differences(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return diffs, where
 
 
-def fejer_apply(n: int, f_evals: Sequence[Callable],
-                grid: Grid) -> list[SampledFunction]:
+def fejer_apply(n: int, f_evals: Sequence[Callable], grid: Grid) -> np.ndarray:
     """Fejer means sigma_n f via trapezoidal quadrature of the kernel
-    convolution on the periodic grid: one kernel matrix, one mat-vec per f."""
+    convolution on the periodic grid: one kernel matrix, one mat-vec per f
+    (a single mat-mat would round differently), one row of node values per f
+    with the endpoint wrapped."""
     if n < 0:
         raise ValueError("Fejer index must be >= 0")
     if not grid.periodic:
         raise ValueError("Fejer means require a periodic grid")
-    fs = [sample(f, grid) for f in f_evals]
+    fs = [evaluate(f, grid.nodes) for f in f_evals]
     # circulant kernel matrix; (1/2pi) integral becomes a plain mean on the
     # uniform periodic grid
     diffs, where = _node_differences(grid)
     K = fejer_kernel(n, diffs)[where]
-    outs = [K @ f.values[:-1] / grid.m for f in fs]
-    return [SampledFunction(grid, np.append(out, out[0])) for out in outs]
+    out = np.empty((len(fs), grid.n_nodes))
+    for row, f in zip(out, fs):
+        row[:-1] = K @ f[:-1] / grid.m
+    out[:, -1] = out[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,12 @@ def perfect_squares() -> BinarySequence:
 
 class OperatorSequence:
     """Indexed family n -> positive linear operator; ``apply_batch`` is its
-    one primitive."""
+    one primitive, returning a ``(len(f_evals), grid.n_nodes)`` array."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
 
-    def apply_batch(self, n: int, f_evals: Sequence[Callable]) -> list[SampledFunction]:
+    def apply_batch(self, n: int, f_evals: Sequence[Callable]) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -245,8 +245,7 @@ class ModulatedOperators(OperatorSequence):
         self.z = z
 
     def apply_batch(self, n, f_evals):
-        c = 1 + self.z(n)
-        return [c * g for g in self.base.apply_batch(n, f_evals)]
+        return (1 + self.z(n)) * self.base.apply_batch(n, f_evals)
 
 
 def named_operator(name: str, grid: Grid | None = None) -> OperatorSequence:
@@ -291,7 +290,7 @@ def positivity_audit(ops: OperatorSequence, indices: Sequence[int],
             if grid.periodic:
                 ys[-1] = ys[0]
             probes.append(lambda t, xs=xs, ys=ys: np.interp(t, xs, ys))
-        lows = [float(np.min(out.values)) for out in ops.apply_batch(n, probes)]
+        lows = [float(v) for v in ops.apply_batch(n, probes).min(axis=1)]
         if witness is None:
             witness = next(((n, trial, low) for trial, low in enumerate(lows)
                             if low < -1e-12), None)
@@ -300,57 +299,58 @@ def positivity_audit(ops: OperatorSequence, indices: Sequence[int],
     return PositivityReport(list(indices), mins, passed, witness)
 
 
+@dataclass
 class ResidualTable:
-    """Per-index outputs of an operator sequence against fixed probes.
+    """Per-index outputs of an operator sequence against fixed probes:
+    ``norms[name][i]`` is sup|L_n f - f| at n = i + 1, with f sampled on the
+    grid in ``limits[name]``; ``values`` holds the raw node values when
+    requested (read by the kinds that work on the node-value stack)."""
 
-    ``norms[name][i]`` is sup|L_n f - limit| at n = i + 1; ``values`` holds
-    the raw node values when requested (read by the summability kinds that
-    work on the node-value stack).
-    """
-
-    def __init__(self):
-        self.norms: dict = {}
-        self.values: dict = {}
+    norms: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+    limits: dict = field(default_factory=dict)
 
 
 def residual_table(ops: OperatorSequence, probes: Sequence[tuple[str, Callable]],
-                   limits: Sequence[SampledFunction], n_max: int,
-                   keep_values: bool = False) -> ResidualTable:
-    """Norm residuals (and optionally node values) for n = 1..n_max.
+                   n_max: int, keep_values: bool = False) -> ResidualTable:
+    """Norm residuals of each probe against itself (and optionally node
+    values) for n = 1..n_max.
 
     Results are cached on the operator instance and extended on demand, so
     repeated probes at growing truncations only pay for the new indices.
-    The cache is keyed by the evaluator object and the limit's values, never
+    The cache is keyed by the evaluator object and its sampled values, never
     by the probe's name, and holds each evaluator so its id stays unique.
     """
-    cache, held = ops.__dict__.setdefault("_residual_cache", (ResidualTable(), {}))
-    keys = [(id(f), lim.values.tobytes())
-            for (_, f), lim in zip(probes, limits, strict=True)]
-    held.update(zip(keys, (f for _, f in probes)))
-    done = min((len(cache.norms.get(k, ())) for k in keys), default=0)
-    if keep_values:
-        done = min([done] + [len(cache.values.get(k, ())) for k in keys])
+    grid = ops.grid
+    limits = [sample(f, grid) for _, f in probes]
+    lim = np.array([f.values for f in limits])
+    keys = [(id(f), v.tobytes()) for (_, f), v in zip(probes, lim)]
+    cache = ops.__dict__.setdefault("_residual_cache", {})
+    entries = [cache.get(k, (f, np.empty(0), np.empty((0, grid.n_nodes))))
+               for k, (_, f) in zip(keys, probes)]
+    done = min((min(len(r), len(v)) if keep_values else len(r) for _, r, v in entries),
+               default=0)
     if done < n_max:
-        # one list per probe: a probe given twice writes the same rows twice
-        new_norms: list[list] = [[] for _ in keys]
-        new_vals: list[list] = [[] for _ in keys]
+        nodes = slice(None, -1) if grid.periodic else slice(None)
+        norms = np.empty((len(probes), n_max - done))
+        vals = np.empty((len(probes), n_max - done, grid.n_nodes)) if keep_values else None
         evals = [f for _, f in probes]
-        for n in range(done + 1, n_max + 1):
-            outs = ops.apply_batch(n, evals)
-            for i, (out, lim) in enumerate(zip(outs, limits)):
-                new_norms[i].append(sup_norm(out - lim))
-                if keep_values:
-                    new_vals[i].append(out.values)
-        for k, norms, vals in zip(keys, new_norms, new_vals):
-            old = cache.norms.get(k, np.empty(0))[:done]
-            cache.norms[k] = np.concatenate([old, np.array(norms)])
+        for i, n in enumerate(range(done + 1, n_max + 1)):
+            out = ops.apply_batch(n, evals)
+            diff = out - lim
+            if not np.all(np.isfinite(diff)):
+                raise ValueError(f"operator output at n={n} is not finite")
+            norms[:, i] = np.max(np.abs(diff[:, nodes]), axis=1)
             if keep_values:
-                oldv = cache.values.get(k, np.empty((0, 0)))[:done]
-                block = np.array(vals)
-                cache.values[k] = block if done == 0 else np.concatenate([oldv, block])
+                vals[:, i] = out
+        # a probe given twice writes the same entry twice
+        for p, (k, (f, r, v)) in enumerate(zip(keys, entries)):
+            cache[k] = (f, np.concatenate([r[:done], norms[p]]),
+                        np.concatenate([v[:done], vals[p]]) if keep_values else v)
     table = ResidualTable()
-    for (nm, _), k in zip(probes, keys):
-        table.norms[nm] = cache.norms[k]
+    for (nm, _), k, limit in zip(probes, keys, limits):
+        _, table.norms[nm], v = cache[k]
+        table.limits[nm] = limit
         if keep_values:
-            table.values[nm] = cache.values[k]
+            table.values[nm] = v
     return table

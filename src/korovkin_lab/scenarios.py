@@ -221,8 +221,7 @@ def run_f_modulus_sweep(cfg) -> ScenarioResult:
 
     ops = named_operator("bernstein", Grid.unit(cfg.grid_m))
     e2 = lambda t: np.asarray(t, dtype=float) ** 2
-    lim = sample(e2, ops.grid)
-    table = residual_table(ops, [("e2", e2)], [lim], cfg.N + cfg.n0)
+    table = residual_table(ops, [("e2", e2)], cfg.N + cfg.n0)
     verdicts, expected, curves, lines = {}, {}, {}, [
         f"f-modulus-sweep: N={cfg.N} tau={cfg.tau} epsilon={cfg.epsilon}"]
     report = {"final_values": {}, "validator": {}}

@@ -6,8 +6,8 @@ limit to a nonnegative residual rho(n) whose decay encodes convergence under
 the method at finite truncation.  ``decide_verdict`` turns a residual curve
 into a consistent / inconsistent / indeterminate verdict.
 
-Every residual operation accepts an offset ``n0`` that drops the first n0
-terms of the sequence; verdicts of convergent curves must not depend on it.
+``residual`` and ``method_curve`` accept an offset ``n0`` that drops the first
+n0 terms of the sequence; verdicts of convergent curves must not depend on it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -114,7 +115,16 @@ class _RowTable:
         return [(j + 1, a) for j, a in enumerate(self.rows[n - 1]) if a != 0.0]
 
 
+def _finite(v) -> bool:
+    """A finite real number; a bool (JSON's ``true``) is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _custom_matrix(rows) -> MatrixSpec:
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and all(_finite(a) and a >= 0 for a in row)
+            for row in rows)):
+        raise ValueError("matrix rows: must be lists of finite numbers >= 0")
     return MatrixSpec("custom", _RowTable(tuple(tuple(float(a) for a in row)
                                                 for row in rows)))
 
@@ -180,7 +190,7 @@ class MethodSpec:
     almost_n_max: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         for holds, message in KINDS[self.kind].requires:
             if not holds(self):
@@ -224,28 +234,33 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MethodSpec":
-        """Load a spec from its wire form; a key this method does not read,
-        at the top level or inside a nested object, is a ValueError."""
-        _known_keys(d, ("kind", "p", "epsilon", "matrix", "modulus", "ideal", "almost"))
+        """Load a spec from its wire form; a missing key, or a key this method
+        does not read, at the top level or inside a nested object, is a
+        ValueError."""
+        _known_keys(d, ("kind", "p", "epsilon", "matrix", "modulus", "ideal", "almost"),
+                    required=("kind",))
         matrix = None
         if "matrix" in d:
             md = _known_keys(d["matrix"], ("name", "rows"), "matrix")
             name = md.get("name", "custom")
             if name == "custom":
+                if "rows" not in md:
+                    raise ValueError("missing key 'rows' in matrix")
                 matrix = _custom_matrix(md["rows"])
-            elif name in NAMED_MATRICES:
+            elif isinstance(name, str) and name in NAMED_MATRICES:
                 matrix = NAMED_MATRICES[name]()
             else:
                 raise ValueError(f"unknown matrix name {name!r}")
         modulus = None
         if "modulus" in d:
-            name = _known_keys(d["modulus"], ("name",), "modulus")["name"]
-            if name not in SHIPPED_MODULI:
+            name = _known_keys(d["modulus"], ("name",), "modulus", required=("name",))["name"]
+            if not isinstance(name, str) or name not in SHIPPED_MODULI:
                 raise ValueError(f"unknown modulus {name!r}")
             modulus = SHIPPED_MODULI[name]
         ideal = None
         if "ideal" in d:
-            ideal = IdealSpec(_known_keys(d["ideal"], ("kind",), "ideal")["kind"])
+            ideal = IdealSpec(_known_keys(d["ideal"], ("kind",), "ideal",
+                                          required=("kind",))["kind"])
         almost = _known_keys(d.get("almost", {}), ("n_max",), "almost")
         return cls(kind=d["kind"], p=d.get("p"), epsilon=d.get("epsilon"),
                    matrix=matrix, modulus=modulus, ideal=ideal,
@@ -256,34 +271,36 @@ class MethodSpec:
         return cls.from_dict(json.loads(text))
 
 
-def _known_keys(d: dict, keys: tuple[str, ...], where: str = "") -> dict:
-    """``d`` itself, after checking that it has no key outside ``keys``."""
+def _known_keys(d: dict, keys: tuple[str, ...], where: str = "",
+                required: tuple[str, ...] = ()) -> dict:
+    """``d`` itself, after checking that it is an object with every key in
+    ``required`` and no key outside ``keys``."""
+    at = f" in {where}" if where else ""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where or 'the spec'} must be an object")
     extra = sorted(set(d) - set(keys))
     if extra:
-        raise ValueError(f"unknown key {extra[0]!r}"
-                         + (f" in {where}" if where else ""))
+        raise ValueError(f"unknown key {extra[0]!r}{at}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}{at}")
     return d
 
 
 # ---------------------------------------------------------------------------
-# residual functionals
+# residual functionals (MethodSpec checks their parameters)
 
 
-def norm_residual_array(seq: SequenceFn, L: SampledFunction, N: int,
-                        n0: int = 0) -> np.ndarray:
-    """r[k-1] = sup|seq(k+n0) - L| for k = 1..N."""
-    return np.array([sup_norm(seq(k + n0) - L) for k in range(1, N + 1)])
+def norm_residual_array(seq: SequenceFn, L: SampledFunction, N: int) -> np.ndarray:
+    """r[k-1] = sup|seq(k) - L| for k = 1..N."""
+    return np.array([sup_norm(seq(k) - L) for k in range(1, N + 1)])
 
 
 def statistical_from_norms(r: np.ndarray, epsilon: float, N: int) -> float:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     return float(np.count_nonzero(r[:N] > epsilon)) / N
 
 
 def strong_wp_from_norms(r: np.ndarray, p: float, N: int) -> float:
-    if p <= 0:
-        raise ValueError("p must be positive")
     return float(np.mean(r[:N] ** p))
 
 
@@ -296,8 +313,6 @@ def a_strong_from_norms(r: np.ndarray, A: MatrixSpec, n: int) -> float:
 
 def a_statistical_from_norms(r: np.ndarray, A: MatrixSpec, epsilon: float,
                              n: int) -> float:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     j, a = A.row_entries(n)
     if len(j) == 0:
         return 0.0
@@ -305,30 +320,22 @@ def a_statistical_from_norms(r: np.ndarray, A: MatrixSpec, epsilon: float,
     return float(a[exceed].sum())
 
 
-def _modulus_value(modulus: ModulusSpec, x: float) -> float:
-    return float(modulus.eval(x))
-
-
 def f_statistical_from_norms(r, modulus: ModulusSpec, epsilon: float, N: int) -> float:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    fn = _modulus_value(modulus, N)
+    fn = float(modulus(N))
     if fn == 0.0:
         raise ValueError(f"degenerate modulus {modulus.name!r}: f({N}) = 0")
     count = int(np.count_nonzero(np.asarray(r)[:N] > epsilon))
-    return _modulus_value(modulus, count) / fn
+    return float(modulus(count)) / fn
 
 
 def f_strong_from_norms(r, modulus: ModulusSpec, N: int) -> float:
-    fn = _modulus_value(modulus, N)
+    fn = float(modulus(N))
     if fn == 0.0:
         raise ValueError(f"degenerate modulus {modulus.name!r}: f({N}) = 0")
-    return _modulus_value(modulus, float(np.sum(np.asarray(r)[:N]))) / fn
+    return float(modulus(float(np.sum(np.asarray(r)[:N])))) / fn
 
 
 def ideal_from_norms(r: np.ndarray, ideal: IdealSpec, epsilon: float, N: int) -> float:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     members = np.flatnonzero(r[:N] > epsilon) + 1
     return ideal.mass(members, N)
 
@@ -456,8 +463,8 @@ class Kind:
                       Callable[[int], np.ndarray]] | None = None
 
 
-_NEEDS_EPSILON = (lambda s: s.epsilon is not None and s.epsilon > 0,
-                  "{} needs epsilon > 0")
+_NEEDS_EPSILON = (lambda s: _finite(s.epsilon) and s.epsilon > 0,
+                  "{} needs a finite epsilon > 0")
 _NEEDS_MATRIX = (lambda s: s.matrix is not None, "{} needs a matrix")
 _NEEDS_MODULUS = (lambda s: s.modulus is not None, "{} needs a modulus")
 
@@ -479,7 +486,7 @@ KINDS: dict[str, Kind] = {
         norm_squeeze=_union_bound(operator.gt)),
     "strong_wp": Kind(
         lambda s, r, L, n: strong_wp_from_norms(r, s.p, n),
-        requires=((lambda s: s.p is not None and s.p > 0, "strong_wp needs p > 0"),),
+        requires=((lambda s: _finite(s.p) and s.p > 0, "strong_wp needs a finite p > 0"),),
         norm_squeeze=_power_mean_violations),
     "a_statistical": Kind(
         lambda s, r, L, n: a_statistical_from_norms(r, s.matrix, s.epsilon, n),
@@ -500,8 +507,9 @@ KINDS: dict[str, Kind] = {
         norm_squeeze=_modulus_violations),
     "almost": Kind(
         lambda s, V, L, n: almost_from_values(V, L, n, s.almost_n_max),
-        requires=((lambda s: s.almost_n_max is not None and s.almost_n_max >= 1,
-                   "almost needs n_max >= 1"),),
+        requires=((lambda s: isinstance(s.almost_n_max, numbers.Integral)
+                   and not isinstance(s.almost_n_max, bool) and s.almost_n_max >= 1,
+                   "almost needs an integer n_max >= 1"),),
         reads_values=True, rows=lambda s, ns: max(ns) + s.almost_n_max,
         average=_window_average),
     "matrix": Kind(
@@ -622,7 +630,7 @@ def is_modulus(spec: ModulusSpec,
     pts = sorted(float(t) for t in sample_points)
     if pts[0] != 0.0 or any(t < 0 for t in pts):
         raise ValueError("sample points must be nonnegative and include 0")
-    f = lambda t: _modulus_value(spec, t)
+    f = lambda t: float(spec(t))
     zero_ok = abs(f(0.0)) <= 1e-12
     positive = all(f(t) > 0.0 for t in pts if t > 0)
     witness = None

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from korovkin_lab.funcspace import Grid, constant, sample, sup_norm
+from korovkin_lab.funcspace import Grid, SampledFunction, constant, sample, sup_norm
 from korovkin_lab.korovkin import (
     KorovkinTestSet,
     bound_ratio_curve,
@@ -67,7 +67,8 @@ def test_acceptance_01_bernstein_moments():
     grid = Grid.unit(200)
     lim1, limt, limt2 = constant(1.0, grid), sample(e1, grid), sample(e2, grid)
     for n in range(1, 101):
-        b1, bt, bt2 = bernstein_apply_batch(n, [e0, e1, e2], grid)
+        b1, bt, bt2 = (SampledFunction(grid, v)
+                       for v in bernstein_apply_batch(n, [e0, e1, e2], grid))
         assert sup_norm(b1 - lim1) == 0.0
         assert sup_norm(bt - limt) <= 1e-10
         assert abs(sup_norm(bt2 - limt2) - 1.0 / (4 * n)) <= 1e-10
@@ -164,7 +165,7 @@ def test_acceptance_07_fejer_eigen_relations():
     cos_s = sample(np.cos, grid)
     u = np.linspace(0.0, 2.0 * math.pi, 16385)
     for n in (9, 99):
-        out = fejer_apply(n, [np.cos], grid)[0]
+        out = SampledFunction(grid, fejer_apply(n, [np.cos], grid)[0])
         shrunk = (n / (n + 1.0)) * cos_s
         assert sup_norm(out - shrunk) <= 1e-8
         # independent kernel-quadrature oracle at a few nodes
@@ -173,7 +174,7 @@ def test_acceptance_07_fejer_eigen_relations():
             oracle = np.trapezoid(np.cos(u) * fejer_kernel(n, x - u), u) \
                 / (2.0 * math.pi)
             assert out.values[idx] == pytest.approx(oracle, abs=1e-8)
-    res = sup_norm(fejer_apply(99, [np.cos], grid)[0] - cos_s)
+    res = sup_norm(SampledFunction(grid, fejer_apply(99, [np.cos], grid)[0]) - cos_s)
     assert abs(res - 0.01) <= 1e-8
     _stamp(7, start, 5.0)
 

@@ -52,3 +52,24 @@ def test_trace_sees_each_fejer_kernel(monkeypatch):
     assert spans == 10
     # one kernel per index, on the 411 distinct node differences at m = 64
     assert tr.counts["operators.fejer_kernel_elements"] == spans * 411
+
+
+def test_trace_counts_a_growing_probe_session(monkeypatch):
+    # the benchmark's library session reads its table counts off the tables
+    # residual_table returns: N grows, then another method reuses the table
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    ops = BernsteinOperators(Grid.unit(50))
+    testset = KorovkinTestSet.algebraic()
+    probes = [("t3", lambda t: np.asarray(t) ** 3)]
+    plan = [(MethodSpec("norm"), 20), (MethodSpec("norm"), 40),
+            (MethodSpec("strong_wp", p=2.0), 40)]
+    with tracing.instrumented(tracing.Tracer()) as tr:
+        for method, N in plan:
+            korovkin.korovkin_probe(ops, method, testset, probes, N=N, tau=0.05)
+    assert tr.counts["operators.table_indices_built"] == 40
+    assert tr.counts["operators.table_misses"] == 2
+    assert tr.counts["operators.table_hits"] == 1
+    # and the operator really ran once per index
+    assert tr.totals()["operators.bernstein_dense"][2] == 40

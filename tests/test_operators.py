@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korovkin_lab import operators
-from korovkin_lab.funcspace import Grid, constant, sample, sup_norm
+from korovkin_lab.funcspace import Grid, SampledFunction, constant, sample, sup_norm
 from korovkin_lab.korovkin import KorovkinTestSet
 from korovkin_lab.operators import (
     BernsteinOperators,
@@ -196,10 +196,10 @@ class TestFejer:
         for f, name in ((np.cos, "cos"), (np.sin, "sin")):
             out = fejer_apply(n, [f], CIRCLE)[0]
             expect = shrink * sample(f, CIRCLE).values
-            assert np.max(np.abs(out.values - expect)) <= 1e-10
+            assert np.max(np.abs(out - expect)) <= 1e-10
 
     def test_constant_fixed(self):
-        out = fejer_apply(25, [lambda t: 2.0], CIRCLE)[0]
+        out = SampledFunction(CIRCLE, fejer_apply(25, [lambda t: 2.0], CIRCLE)[0])
         assert sup_norm(out - constant(2.0, CIRCLE)) <= 1e-12
 
     def test_quadrature_oracle(self):
@@ -212,7 +212,7 @@ class TestFejer:
             x = CIRCLE.nodes[idx]
             integrand = f(u) * fejer_kernel(n, x - u)
             oracle = np.trapezoid(integrand, u) / (2.0 * math.pi)
-            assert out.values[idx] == pytest.approx(oracle, abs=1e-8)
+            assert out[idx] == pytest.approx(oracle, abs=1e-8)
 
     def test_requires_periodic_grid(self):
         with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ class TestFejer:
 
         def work(i):
             start.wait(timeout=30)
-            outs[i] = [out.values[:-1] for out in fejer_apply(17, fs, grid)]
+            outs[i] = [out[:-1] for out in fejer_apply(17, fs, grid)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -269,10 +269,10 @@ class TestModulated:
     def test_doubles_exactly_on_squares(self):
         ops = ModulatedOperators(named_operator("bernstein", GRID), perfect_squares())
         for n in (4, 9, 16, 100):
-            out = ops.apply_batch(n, [e0])[0]
+            out = SampledFunction(GRID, ops.apply_batch(n, [e0])[0])
             assert sup_norm(out - constant(2.0, GRID)) == 0.0
         for n in (2, 3, 5, 99):
-            out = ops.apply_batch(n, [e0])[0]
+            out = SampledFunction(GRID, ops.apply_batch(n, [e0])[0])
             assert sup_norm(out - constant(1.0, GRID)) == 0.0
 
     def test_membership_sequence(self):
@@ -304,9 +304,9 @@ class TestNamedOperators:
         ops = named_operator(name, grid)
         for n in indices:
             outs = ops.apply_batch(n, fs)
-            assert len(outs) == len(fs)
+            assert outs.shape == (len(fs), grid.n_nodes)
             for f, out in zip(fs, outs):
-                assert np.array_equal(out.values, ops.apply_batch(n, [f])[0].values)
+                assert np.array_equal(out, ops.apply_batch(n, [f])[0])
 
     @pytest.mark.parametrize("name,indices", [("bernstein", range(1, 12)),
                                               ("fejer", range(0, 11)),
@@ -333,7 +333,7 @@ class TestNamedOperators:
                 ys = rng.uniform(0.0, 1.0, len(xs))
                 ys[-1] = ys[0]
                 probe = lambda t, xs=xs, ys=ys: np.interp(t, xs, ys)
-                lows.append(float(np.min(fejer_apply(n, [probe], grid)[0].values)))
+                lows.append(float(np.min(fejer_apply(n, [probe], grid)[0])))
             expect.append(min(lows))
         assert report.min_values == expect
 
@@ -342,44 +342,71 @@ class TestResidualTable:
     def test_norms_match_direct_computation(self):
         ops = named_operator("bernstein", GRID)
         lim = sample(e2, GRID)
-        table = residual_table(ops, [("e2", e2)], [lim], 30)
+        table = residual_table(ops, [("e2", e2)], 30)
+        assert np.array_equal(table.limits["e2"].values, lim.values)
         for n in (1, 7, 30):
             direct = sup_norm(bernstein_apply(n, e2, GRID) - lim)
             assert table.norms["e2"][n - 1] == direct
 
     def test_incremental_extension_consistent(self):
         ops = named_operator("bernstein", GRID)
-        lim = sample(e2, GRID)
-        first = residual_table(ops, [("e2", e2)], [lim], 20).norms["e2"].copy()
-        second = residual_table(ops, [("e2", e2)], [lim], 40).norms["e2"]
+        first = residual_table(ops, [("e2", e2)], 20).norms["e2"].copy()
+        second = residual_table(ops, [("e2", e2)], 40).norms["e2"]
         assert np.array_equal(second[:20], first)
         assert len(second) == 40
 
-    def test_cache_keyed_by_limit_values(self):
-        ops = named_operator("bernstein", GRID)
-        first = residual_table(ops, [("f", e2)], [sample(e2, GRID)], 10).norms["f"]
-        zero = constant(0.0, GRID)
-        second = residual_table(ops, [("f", e2)], [zero], 10).norms["f"]
+    def test_evaluator_whose_values_change_is_rebuilt(self):
+        # one evaluator object, two sets of values: the cache key holds the
+        # sampled values, so the second call must rebuild rather than hit
+        class Scaled:
+            scale = 1.0
+
+            def __call__(self, t):
+                return self.scale * np.asarray(t, dtype=float) ** 2
+
+        class Counting(BernsteinOperators):
+            def __init__(self, grid):
+                super().__init__(grid)
+                self.built = []
+
+            def apply_batch(self, n, f_evals):
+                self.built.append(n)
+                return super().apply_batch(n, f_evals)
+
+        f, ops = Scaled(), Counting(GRID)
+        first = residual_table(ops, [("f", f)], 10).norms["f"].copy()
+        f.scale = 3.0
+        second = residual_table(ops, [("f", f)], 10).norms["f"]
+        assert ops.built == 2 * list(range(1, 11))
         for n in (1, 10):
-            assert second[n - 1] == sup_norm(bernstein_apply(n, e2, GRID) - zero)
+            assert second[n - 1] == sup_norm(bernstein_apply(n, f, GRID) - sample(f, GRID))
         assert not np.array_equal(first, second)
+        residual_table(ops, [("f", f)], 10)
+        assert len(ops.built) == 20
+
+    def test_non_finite_output_rejected(self):
+        # n = 1 is a perfect square, where the modulated operator doubles
+        # 1.5e308 past the largest float
+        ops = named_operator("modulated-squares", GRID)
+        with pytest.raises(ValueError, match="at n=1 is not finite"):
+            residual_table(ops, [("big", lambda t: 1.5e308)], 5)
 
     def test_probe_given_twice_fills_one_row_per_index(self):
         ops = named_operator("bernstein", GRID)
         lim = sample(e2, GRID)
-        table = residual_table(ops, [("a", e2), ("b", e2)], [lim, lim], 10,
-                               keep_values=True)
+        table = residual_table(ops, [("a", e2), ("b", e2)], 10, keep_values=True)
         assert len(table.norms["a"]) == 10 and len(table.values["b"]) == 10
         assert table.norms["a"][9] == sup_norm(bernstein_apply(10, e2, GRID) - lim)
-
-    def test_probes_and_limits_must_pair_up(self):
-        ops = named_operator("bernstein", GRID)
-        with pytest.raises(ValueError):
-            residual_table(ops, [("a", e2), ("b", e1)], [sample(e2, GRID)], 5)
 
     def test_values_kept_on_request(self):
         ops = named_operator("bernstein", Grid.unit(10))
         lim = sample(e1, ops.grid)
-        table = residual_table(ops, [("e1", e1)], [lim], 5, keep_values=True)
+        table = residual_table(ops, [("e1", e1)], 5, keep_values=True)
         assert table.values["e1"].shape == (5, 11)
         assert np.allclose(table.values["e1"][2], lim.values, atol=1e-12)
+        # a norms-only extension keeps no values; a later request fills them in
+        assert residual_table(ops, [("e1", e1)], 8).values == {}
+        again = residual_table(ops, [("e1", e1)], 8, keep_values=True)
+        assert again.values["e1"].shape == (8, 11)
+        assert np.array_equal(again.values["e1"][:5], table.values["e1"])
+        assert np.array_equal(again.values["e1"][7], bernstein_apply(8, e1, ops.grid).values)

@@ -136,6 +136,37 @@ class TestValidation:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method,error", [
+        ({"kind": "statistical", "epsilon": float("inf")},
+         "statistical needs a finite epsilon > 0"),
+        ({"kind": "strong_wp", "p": float("inf")}, "strong_wp needs a finite p > 0"),
+        ({"kind": "almost", "almost": {"n_max": 2.5}},
+         "almost needs an integer n_max >= 1"),
+        ({"kind": "statistical", "epsilon": True},
+         "statistical needs a finite epsilon > 0"),
+        ({"kind": "almost", "almost": {"n_max": True}},
+         "almost needs an integer n_max >= 1"),
+        ({"kind": "strong_wp", "p": "2"}, "strong_wp needs a finite p > 0"),
+        ({"kind": "matrix", "matrix": {"name": "custom", "rows": [[0.5, float("nan")]]}},
+         "matrix rows: must be lists of finite numbers >= 0"),
+        ({"kind": "matrix", "matrix": {"name": "custom"}},
+         "missing key 'rows' in matrix"),
+        ({"kind": "f_strong", "modulus": {}}, "missing key 'name' in modulus"),
+        ({"epsilon": 0.5}, "missing key 'kind'"),
+    ], ids=["epsilon-inf", "p-inf", "n_max-fraction", "epsilon-true", "n_max-true",
+            "p-string", "rows-nan", "rows-missing", "modulus-name-missing",
+            "kind-missing"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_method_number_or_key_rejected(self, method, error, command,
+                                               tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "bernstein-classical", "N": 50,
+                                 "method": method,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: method: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags,error", [
         (["--seed", "-3"], "seed: must be >= 0"),
         (["--output-dir", ""], "output_dir: must be a non-empty path"),

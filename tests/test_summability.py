@@ -74,9 +74,10 @@ class TestScalarResiduals:
         assert strong_wp_from_norms(r, 2.0, 100) == pytest.approx(expect, rel=1e-14)
 
     def test_offset_reindexes(self):
-        assert norm_residual_array(harmonic, ZERO, 5, n0=10)[4] == pytest.approx(1 / 15)
-        r = norm_residual_array(harmonic, ZERO, 10, n0=3)
-        assert r[0] == 0.25
+        # the identity matrix's row n reads the single residual at n + n0
+        pick = MethodSpec("a_strong", matrix=identity_matrix())
+        assert residual(pick, harmonic, ZERO, 5, n0=10) == pytest.approx(1 / 15)
+        assert residual(pick, harmonic, ZERO, 1, n0=3) == 0.25
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
