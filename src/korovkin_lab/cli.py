@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .operators import MAX_BERNSTEIN_INDEX
 from .scenarios import REGISTRY, ScenarioResult
+from .summability import NAMED_MATRICES, MethodSpec
 
 
 @dataclass
@@ -89,7 +90,6 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     method = raw.get("method")
     if method is not None:
         if isinstance(method, dict):
-            from .summability import MethodSpec
             try:
                 MethodSpec.from_dict(method)
             except (KeyError, TypeError, ValueError) as exc:
@@ -107,6 +107,11 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     for key in ("method", "operator"):
         if entry and raw.get(key) is not None and key not in entry.reads:
             errors.append(f"{key}: scenario {scenario!r} does not read it")
+    # the one scenario that reads ``operator`` audits the named matrix
+    if entry and "operator" in entry.reads and isinstance(operator, str) \
+            and operator not in NAMED_MATRICES:
+        errors.append(f"operator: unknown matrix {operator!r}; choose from "
+                      + ", ".join(sorted(NAMED_MATRICES)))
 
     if errors:
         return None, sorted(errors)

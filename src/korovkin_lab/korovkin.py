@@ -44,6 +44,20 @@ RATIO_FLOOR = 1e-12
 # test sets
 
 
+# the test functions, built once so that every test set holds the same
+# evaluator objects (the residual-table cache keys by evaluator)
+def _e0(t):
+    return np.ones_like(np.asarray(t, dtype=float))
+
+
+def _e1(t):
+    return np.asarray(t, dtype=float)
+
+
+def _e2(t):
+    return np.asarray(t, dtype=float) ** 2
+
+
 @dataclass(frozen=True)
 class KorovkinTestSet:
     """The three-function test set of the relevant approximation statement."""
@@ -55,17 +69,12 @@ class KorovkinTestSet:
     @classmethod
     def algebraic(cls) -> "KorovkinTestSet":
         """{1, t, t^2} on [0, 1]."""
-        return cls("algebraic", ("e0", "e1", "e2"),
-                   (lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                    lambda t: np.asarray(t, dtype=float),
-                    lambda t: np.asarray(t, dtype=float) ** 2))
+        return cls("algebraic", ("e0", "e1", "e2"), (_e0, _e1, _e2))
 
     @classmethod
     def trigonometric(cls) -> "KorovkinTestSet":
         """{1, cos, sin} on the 2*pi-periodic line."""
-        return cls("trigonometric", ("e0", "cos", "sin"),
-                   (lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                    np.cos, np.sin))
+        return cls("trigonometric", ("e0", "cos", "sin"), (_e0, np.cos, np.sin))
 
     def check_grid(self, grid: Grid) -> None:
         if self.flavor == "trigonometric" and not grid.periodic:
@@ -241,10 +250,9 @@ def korovkin_probe(ops: OperatorSequence, method: MethodSpec,
                            keep_values=kind.reads_values)
 
     def curve(nm: str) -> ResidualCurve:
-        kw = ({"values": table.values[nm]} if kind.reads_values
-              else {"norms": table.norms[nm]})
-        return method_curve(method, L=table.limits[nm], N=N, tau=tau, n0=n0,
-                            indices=indices, **kw)
+        rows = table.values[nm] if kind.reads_values else table.norms[nm]
+        return method_curve(method, rows, table.limits[nm], N=N, tau=tau, n0=n0,
+                            indices=indices)
 
     test_curves = {nm: curve(nm) for nm in testset.names}
     probe_curves = {nm: curve(nm) for nm, _ in probes}
@@ -290,15 +298,15 @@ def _squeeze_norm_sequences(C: float, seed: int, N: int):
 
 
 def squeeze_trial_norm(method: MethodSpec, C: float, seed: int, N: int = 1000,
-                       epsilon: float = 0.5, tamper: bool = False,
-                       n0: int = 0) -> SqueezeReport:
+                       tamper: bool = False, n0: int = 0) -> SqueezeReport:
     """One randomized trial of the norm-squeeze property.
 
     Seeds three convergent sequences x, y, z and a fourth w dominated by
     C*(sum of the three residual norms); asserts the finite-N form of the
     squeeze given by the kind's ``norm_squeeze`` form in ``KINDS``: a
     union-bound set inclusion at threshold epsilon/(3C) for the count-based
-    kinds, a weighted linear inequality for the strong kinds.
+    kinds (the method's epsilon), a weighted linear inequality for the
+    strong kinds.
     ``tamper=True`` plants one domination violation and must be reported as
     a hypothesis failure, not a method failure.
     """
@@ -323,8 +331,7 @@ def squeeze_trial_norm(method: MethodSpec, C: float, seed: int, N: int = 1000,
         return SqueezeReport(kind, C, seed, STATUS_HYPOTHESIS,
                              f"domination fails at index {j + 1}")
 
-    eps = method.epsilon if method.epsilon is not None else epsilon
-    bad = squeeze(method, a, b, c, d, C, eps, N)
+    bad = squeeze(method, a, b, c, d, C, N)
     if len(bad):
         return SqueezeReport(kind, C, seed, STATUS_FAIL,
                              f"squeeze inequality fails at index {int(bad[0]) + 1}")
@@ -497,9 +504,8 @@ def counterexample_run(N: int, epsilon: float, grid_m: int = 200,
     for nm in testset.names:
         r = table.norms[nm]
         stat_res[nm] = statistical_from_norms(r[n0:], epsilon, N)
-        norm_v[nm] = method_curve(MethodSpec("norm"), norms=r, N=N,
-                                  tau=tau, n0=n0).verdict
-        stat_v[nm] = method_curve(MethodSpec("statistical", epsilon=epsilon),
-                                  norms=r, N=N, tau=tau, n0=n0).verdict
+        norm_v[nm] = method_curve(MethodSpec("norm"), r, N=N, tau=tau, n0=n0).verdict
+        stat_v[nm] = method_curve(MethodSpec("statistical", epsilon=epsilon), r,
+                                  N=N, tau=tau, n0=n0).verdict
     return CounterexampleReport(N, epsilon, square_res, stat_res, norm_v, stat_v,
                                 epsilon_blind=epsilon >= 1.0)

@@ -152,11 +152,12 @@ def run_cesaro_matrix(cfg) -> ScenarioResult:
     grid = Grid.unit(cfg.grid_m)
     L = sample(lambda t: 1.0 + np.asarray(t, dtype=float), grid)
     g = sample(lambda t: np.asarray(t, dtype=float) ** 2, grid)
-    seq = lambda k: L + ((-1.0) ** k) * g
     method = MethodSpec("matrix", matrix=cesaro_matrix())
     indices = [2 * v for v in curve_indices(cfg.N // 2)]
-    curve = method_curve(method, seq=seq, L=L, N=cfg.N, tau=cfg.tau,
-                         n0=cfg.n0, indices=indices)
+    # row k-1 holds term k = L + (-1)^k g
+    signs = (-1.0) ** np.arange(1, cfg.n0 + KINDS["matrix"].rows(method, indices) + 1)
+    curve = method_curve(method, L.values + signs[:, None] * g.values, L, N=cfg.N,
+                         tau=cfg.tau, n0=cfg.n0, indices=indices)
     verdicts = {"matrix_mean": curve.verdict}
     expected = {"matrix_mean": VERDICT_CONSISTENT}
     lines = [f"cesaro-matrix: N={cfg.N} tau={cfg.tau}",
@@ -171,13 +172,14 @@ def run_almost_alternating(cfg) -> ScenarioResult:
     """Sliding-window means of (-1)^n: the window residual is exactly
     1/(m+1) at even window lengths, decaying to the limit."""
     grid = Grid.unit(cfg.grid_m)
-    seq = lambda k: constant((-1.0) ** k, grid)
     L = constant(0.0, grid)
     n_max = 500
     mm = [2 * v for v in curve_indices(cfg.N // 2, start=5)]
     method = MethodSpec("almost", almost_n_max=n_max)
-    curve = method_curve(method, seq=seq, L=L, N=cfg.N, tau=cfg.tau,
-                         n0=cfg.n0, indices=mm)
+    # row k-1 holds term k, the constant (-1)^k
+    signs = (-1.0) ** np.arange(1, cfg.n0 + KINDS["almost"].rows(method, mm) + 1)
+    curve = method_curve(method, np.repeat(signs[:, None], grid.n_nodes, axis=1), L,
+                         N=cfg.N, tau=cfg.tau, n0=cfg.n0, indices=mm)
     exact = all(abs(v - 1.0 / (m + 1)) <= 1e-12 for m, v in curve.points)
     verdicts = {"almost_mean": curve.verdict,
                 "window_residual_exact": "true" if exact else "false"}
@@ -230,8 +232,8 @@ def run_f_modulus_sweep(cfg) -> ScenarioResult:
                        ("log1p", VERDICT_INDETERMINATE)):
         method = MethodSpec("f_statistical", epsilon=cfg.epsilon,
                             modulus=SHIPPED_MODULI[name])
-        curve = method_curve(method, norms=table.norms["e2"], N=cfg.N,
-                             tau=cfg.tau, n0=cfg.n0)
+        curve = method_curve(method, table.norms["e2"], N=cfg.N, tau=cfg.tau,
+                             n0=cfg.n0)
         verdicts[f"f_statistical_{name}"] = curve.verdict
         expected[f"f_statistical_{name}"] = want
         curves[f"f_statistical_{name}.csv"] = curve.to_csv()
@@ -320,9 +322,6 @@ def run_regularity_audit(cfg) -> ScenarioResult:
     verdicts, expected, lines = {}, {}, [f"regularity-audit: N={cfg.N}"]
     report = {}
     for name in names:
-        if name not in NAMED_MATRICES:
-            raise ValueError(f"unknown matrix {name!r}; choose from "
-                             + ", ".join(sorted(NAMED_MATRICES)))
         rep = check_regularity(NAMED_MATRICES[name](), cfg.N)
         verdicts[name] = "regular" if rep.passed else "irregular"
         expected[name] = "regular"

@@ -1,13 +1,14 @@
-"""Summability methods as residual functionals on sequences of sampled
-functions.
+"""Summability methods as residual functionals on residual tables.
 
-Each method kind maps a sequence ``seq: n -> SampledFunction`` and a candidate
-limit to a nonnegative residual rho(n) whose decay encodes convergence under
-the method at finite truncation.  ``decide_verdict`` turns a residual curve
-into a consistent / inconsistent / indeterminate verdict.
+Each method kind reads one table of a sequence against its candidate limit:
+the sup-norm residuals ||L_k f - f|| for k = 1, 2, ..., or, for the averaging
+kinds, the node values of the terms themselves (``Kind.reads_values``).  It
+maps the table to a nonnegative residual rho(n) whose decay encodes
+convergence under the method at finite truncation.  ``decide_verdict`` turns
+a residual curve into a consistent / inconsistent / indeterminate verdict.
 
 ``residual`` and ``method_curve`` accept an offset ``n0`` that drops the first
-n0 terms of the sequence; verdicts of convergent curves must not depend on it.
+n0 rows of the table; verdicts of convergent curves must not depend on it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import SampledFunction, sup_norm, sup_values
+from .funcspace import SampledFunction, sup_values
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -31,8 +32,6 @@ VERDICT_INDETERMINATE = "indeterminate"
 #: truncated matrix rows whose sum strays from the declared total by more
 #: than this are rejected
 ROW_SUM_DEFICIT_TOL = 1e-8
-
-SequenceFn = Callable[[int], SampledFunction]
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +191,14 @@ class MethodSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        for holds, message in KINDS[self.kind].requires:
-            if not holds(self):
+        reads = KINDS[self.kind].fields
+        for name in reads:
+            holds, message = _FIELD_CHECKS[name]
+            if not holds(getattr(self, name)):
                 raise ValueError(message.format(self.kind))
+        for name in sorted(_FIELD_CHECKS):
+            if name not in reads and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} does not read {name!r}")
 
     # -- JSON wire format ---------------------------------------------------
 
@@ -291,11 +295,6 @@ def _known_keys(d: dict, keys: tuple[str, ...], where: str = "",
 # residual functionals (MethodSpec checks their parameters)
 
 
-def norm_residual_array(seq: SequenceFn, L: SampledFunction, N: int) -> np.ndarray:
-    """r[k-1] = sup|seq(k) - L| for k = 1..N."""
-    return np.array([sup_norm(seq(k) - L) for k in range(1, N + 1)])
-
-
 def statistical_from_norms(r: np.ndarray, epsilon: float, N: int) -> float:
     return float(np.count_nonzero(r[:N] > epsilon)) / N
 
@@ -340,16 +339,6 @@ def ideal_from_norms(r: np.ndarray, ideal: IdealSpec, epsilon: float, N: int) ->
     return ideal.mass(members, N)
 
 
-def _value_stack(seq: SequenceFn, L: SampledFunction, count: int) -> np.ndarray:
-    rows = []
-    for k in range(1, count + 1):
-        f = seq(k)
-        if f.grid != L.grid:
-            raise ValueError("sequence and limit live on different grids")
-        rows.append(f.values)
-    return np.array(rows)
-
-
 def _prefix_sums(V: np.ndarray) -> np.ndarray:
     """P[k] = V[0] + ... + V[k-1], with P[0] = 0."""
     return np.vstack([np.zeros((1, V.shape[1])), np.cumsum(V, axis=0)])
@@ -362,7 +351,7 @@ def _window_means(P: np.ndarray, m: int, n_max: int) -> np.ndarray:
 
 
 def almost_from_values(V: np.ndarray, L: SampledFunction, m: int, n_max: int) -> float:
-    """max over 1 <= n <= n_max of sup|mean(V[n..n+m]) - L|; V[k-1] = seq(k)."""
+    """max over 1 <= n <= n_max of sup|mean(V[n..n+m]) - L|; V[k-1] is term k."""
     if m < 0 or n_max < 1:
         raise ValueError("need m >= 0 and n_max >= 1")
     if len(V) < n_max + m:
@@ -393,14 +382,15 @@ def matrix_from_values(V: np.ndarray, A: MatrixSpec, n: int) -> np.ndarray:
 def _union_bound(exceeds: Callable) -> Callable:
     """Count-based kinds: an index where d exceeds eps must have one of a, b,
     c exceed eps/(3C)."""
-    def violations(spec, a, b, c, d, C, eps, N):
+    def violations(spec, a, b, c, d, C, N):
+        eps = spec.epsilon
         thr = eps / (3.0 * C)
         return np.flatnonzero(exceeds(d, eps) & ~(exceeds(a, thr) | exceeds(b, thr)
                                                   | exceeds(c, thr)))
     return violations
 
 
-def _power_mean_violations(spec, a, b, c, d, C, eps, N):
+def _power_mean_violations(spec, a, b, c, d, C, N):
     """Weighted linear form: sum d^p <= C^p 3^max(p-1,0) sum (a^p+b^p+c^p)."""
     p = spec.p
     factor = C ** p * 3.0 ** max(p - 1.0, 0.0)
@@ -409,7 +399,7 @@ def _power_mean_violations(spec, a, b, c, d, C, eps, N):
     return np.flatnonzero(lhs > rhs * (1.0 + 1e-12) + 1e-12)
 
 
-def _modulus_violations(spec, a, b, c, d, C, eps, N):
+def _modulus_violations(spec, a, b, c, d, C, N):
     """Modulus form: f(sum d) <= ceil(C) (f(sum a) + f(sum b) + f(sum c))."""
     f = lambda x: np.array([float(spec.modulus.eval(s)) for s in np.cumsum(x)])
     lhs, rhs = f(d), math.ceil(C) * (f(a) + f(b) + f(c))
@@ -447,7 +437,8 @@ class Kind:
     truncation n (the window length for ``almost``), read off the norm table,
     or the node-value stack if ``reads_values``, both starting at index 1;
     ``rows(spec, ns)`` counts the table rows read for the truncations ns;
-    ``requires`` pairs checks on a MethodSpec with their errors;
+    ``fields`` names the MethodSpec fields the kind reads, each checked by
+    its ``_FIELD_CHECKS`` entry (any other field must be unset);
     ``norm_squeeze`` is the kind's norm-squeeze form (described above).
     For the averaging kinds, ``average(spec, V)`` maps n to the averages the
     kind takes of the value stack V at truncation n: the ``almost_n_max``
@@ -455,7 +446,7 @@ class Kind:
     is None where the kind has none."""
 
     point: Callable[["MethodSpec", np.ndarray, SampledFunction, int], float]
-    requires: tuple[tuple[Callable[["MethodSpec"], bool], str], ...] = ()
+    fields: tuple[str, ...] = ()
     reads_values: bool = False
     rows: Callable[["MethodSpec", Sequence[int]], int] = lambda spec, ns: max(ns)
     norm_squeeze: Callable | None = None
@@ -463,10 +454,17 @@ class Kind:
                       Callable[[int], np.ndarray]] | None = None
 
 
-_NEEDS_EPSILON = (lambda s: _finite(s.epsilon) and s.epsilon > 0,
-                  "{} needs a finite epsilon > 0")
-_NEEDS_MATRIX = (lambda s: s.matrix is not None, "{} needs a matrix")
-_NEEDS_MODULUS = (lambda s: s.modulus is not None, "{} needs a modulus")
+#: MethodSpec field -> (check on its value, error for the kind that reads it)
+_FIELD_CHECKS = {
+    "almost_n_max": (lambda v: isinstance(v, numbers.Integral)
+                     and not isinstance(v, bool) and v >= 1,
+                     "{} needs an integer n_max >= 1"),
+    "epsilon": (lambda v: _finite(v) and v > 0, "{} needs a finite epsilon > 0"),
+    "ideal": (lambda v: v is not None, "{} kind needs an IdealSpec"),
+    "matrix": (lambda v: v is not None, "{} needs a matrix"),
+    "modulus": (lambda v: v is not None, "{} needs a modulus"),
+    "p": (lambda v: _finite(v) and v > 0, "{} needs a finite p > 0"),
+}
 
 # the lambdas look their functions up at call time, so a wrapper installed on
 # the module attribute (a tracer, say) sees every call
@@ -477,63 +475,61 @@ KINDS: dict[str, Kind] = {
     "norm": Kind(lambda s, r, L, n: float(np.max(r[n // 3: n]))),
     "statistical": Kind(
         lambda s, r, L, n: statistical_from_norms(r, s.epsilon, n),
-        requires=(_NEEDS_EPSILON,),
+        fields=("epsilon",),
         norm_squeeze=_union_bound(operator.gt)),
     "ideal": Kind(
         lambda s, r, L, n: ideal_from_norms(r, s.ideal, s.epsilon, n),
-        requires=(_NEEDS_EPSILON,
-                  (lambda s: s.ideal is not None, "ideal kind needs an IdealSpec")),
+        fields=("epsilon", "ideal"),
         norm_squeeze=_union_bound(operator.gt)),
     "strong_wp": Kind(
         lambda s, r, L, n: strong_wp_from_norms(r, s.p, n),
-        requires=((lambda s: _finite(s.p) and s.p > 0, "strong_wp needs a finite p > 0"),),
+        fields=("p",),
         norm_squeeze=_power_mean_violations),
     "a_statistical": Kind(
         lambda s, r, L, n: a_statistical_from_norms(r, s.matrix, s.epsilon, n),
-        requires=(_NEEDS_EPSILON, _NEEDS_MATRIX),
+        fields=("epsilon", "matrix"),
         norm_squeeze=_union_bound(operator.ge)),
     "a_strong": Kind(
         lambda s, r, L, n: a_strong_from_norms(r, s.matrix, n),
-        requires=(_NEEDS_MATRIX,),
-        norm_squeeze=lambda s, a, b, c, d, C, eps, N:
+        fields=("matrix",),
+        norm_squeeze=lambda s, a, b, c, d, C, N:
             _a_strong_row_violations(s.matrix, a, b, c, d, C, N)),
     "f_statistical": Kind(
         lambda s, r, L, n: f_statistical_from_norms(r, s.modulus, s.epsilon, n),
-        requires=(_NEEDS_EPSILON, _NEEDS_MODULUS),
+        fields=("epsilon", "modulus"),
         norm_squeeze=_union_bound(operator.gt)),
     "f_strong": Kind(
         lambda s, r, L, n: f_strong_from_norms(r, s.modulus, n),
-        requires=(_NEEDS_MODULUS,),
+        fields=("modulus",),
         norm_squeeze=_modulus_violations),
     "almost": Kind(
         lambda s, V, L, n: almost_from_values(V, L, n, s.almost_n_max),
-        requires=((lambda s: isinstance(s.almost_n_max, numbers.Integral)
-                   and not isinstance(s.almost_n_max, bool) and s.almost_n_max >= 1,
-                   "almost needs an integer n_max >= 1"),),
+        fields=("almost_n_max",),
         reads_values=True, rows=lambda s, ns: max(ns) + s.almost_n_max,
         average=_window_average),
     "matrix": Kind(
         lambda s, V, L, n: sup_values(matrix_from_values(V, s.matrix, n) - L.values,
                                       L.grid.periodic),
-        requires=(_NEEDS_MATRIX,),
+        fields=("matrix",),
         reads_values=True,
         average=lambda s, V: lambda n: matrix_from_values(V, s.matrix, n)),
 }
 
 
-def _table(kind: Kind, seq: SequenceFn, L: SampledFunction, rows: int) -> np.ndarray:
-    if kind.reads_values:
-        return _value_stack(seq, L, rows)
-    return norm_residual_array(seq, L, rows)
+def residual(method: MethodSpec, table: np.ndarray, L: SampledFunction | None,
+             n: int, n0: int = 0) -> float:
+    """Residual under ``method`` at truncation n, after dropping the first n0
+    rows of ``table``: the value ``method_curve`` plots at n.
 
-
-def residual(method: MethodSpec, seq: SequenceFn, L: SampledFunction, n: int,
-             n0: int = 0) -> float:
-    """Residual of ``seq`` against ``L`` under ``method`` at truncation n,
-    after dropping the first n0 terms: the value ``method_curve`` plots at n."""
+    ``table`` is the kind's norm table, or its node-value stack when the
+    kind ``reads_values`` (then ``L`` is the limit); row k-1 holds term k.
+    A table shorter than the rows the kind reads is a ValueError."""
     kind = KINDS[method.kind]
-    return kind.point(method, _table(kind, seq, L, n0 + kind.rows(method, [n]))[n0:],
-                      L, n)
+    need = n0 + kind.rows(method, [n])
+    if len(table) < need:
+        raise ValueError(f"{method.kind} at n={n} reads {need} table rows, "
+                         f"the table has {len(table)}")
+    return kind.point(method, table[n0:], L, n)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +680,6 @@ def decide_verdict(points: Sequence[tuple[int, float]], tau: float) -> str:
 
 @dataclass
 class ResidualCurve:
-    method: MethodSpec
     points: list[tuple[int, float]]
     verdict: str
 
@@ -709,31 +704,20 @@ def curve_indices(N: int, points: int = 24, start: int = 10) -> list[int]:
     return [int(v) for v in raw]
 
 
-def method_curve(method: MethodSpec, *, norms: np.ndarray | None = None,
-                 values: np.ndarray | None = None,
-                 seq: SequenceFn | None = None, L: SampledFunction | None = None,
-                 N: int, tau: float, n0: int = 0,
-                 indices: Sequence[int] | None = None) -> ResidualCurve:
-    """Residual curve for a method over a ladder of truncations.
-
-    ``norms`` is the per-index sup-norm residual table (absolute indexing
-    from n=1, before the offset ``n0``); ``values`` is the matching stack of
-    node values, read by the kinds whose ``KINDS`` entry ``reads_values``.
-    When a table is not supplied it is computed from ``seq``.
+def method_curve(method: MethodSpec, table: np.ndarray,
+                 L: SampledFunction | None = None, *, N: int, tau: float,
+                 n0: int = 0, indices: Sequence[int] | None = None) -> ResidualCurve:
+    """Residual curve for a method over a ladder of truncations: ``residual``
+    of ``table`` (and ``L``) at each index, ``curve_indices(N)`` by default.
 
     For the norm kind the plotted value at n is the supremum of the residuals
     over the tail window (n/3, n]: a finite-truncation reading of the limit
     superior over *all* indices rather than a sampled subsequence.
     """
-    kind = KINDS[method.kind]
     if indices is None:
         indices = curve_indices(N)
-    table = values if kind.reads_values else norms
-    if table is None:
-        table = _table(kind, seq, L, n0 + kind.rows(method, indices))
-    r = table[n0:]
-    pts = [(n, kind.point(method, r, L, n)) for n in indices]
-    return ResidualCurve(method, pts, decide_verdict(pts, tau))
+    pts = [(n, residual(method, table, L, n, n0)) for n in indices]
+    return ResidualCurve(pts, decide_verdict(pts, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -776,13 +760,13 @@ def connor_cross_check(n_sequences: int = 100, N: int = 5000, tau: float = 0.02,
         stat_verdicts = set()
         for eps in eps_grid:
             m = MethodSpec("statistical", epsilon=eps)
-            stat_verdicts.add(method_curve(m, norms=r, N=N, tau=tau).verdict)
+            stat_verdicts.add(method_curve(m, r, N=N, tau=tau).verdict)
         if stat_verdicts == {VERDICT_CONSISTENT}:
             sv = VERDICT_CONSISTENT
         elif VERDICT_INCONSISTENT in stat_verdicts:
             sv = VERDICT_INCONSISTENT
         else:
             sv = VERDICT_INDETERMINATE
-        wp = method_curve(MethodSpec("strong_wp", p=1.0), norms=r, N=N, tau=tau)
+        wp = method_curve(MethodSpec("strong_wp", p=1.0), r, N=N, tau=tau)
         out.append(ConnorCheck(trial, convergent, sv, wp.verdict))
     return out

@@ -5,6 +5,7 @@ traced probe records its spans, and that the wrappers are removed again."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from korovkin_lab import cli, funcspace, korovkin, operators, scenarios, summability
 from korovkin_lab.funcspace import Grid
@@ -54,9 +55,12 @@ def test_trace_sees_each_fejer_kernel(monkeypatch):
     assert tr.counts["operators.fejer_kernel_elements"] == spans * 411
 
 
-def test_trace_counts_a_growing_probe_session(monkeypatch):
+@pytest.mark.parametrize("fresh_testset", [False, True],
+                         ids=["one-test-set", "fresh-test-set-per-call"])
+def test_trace_counts_a_growing_probe_session(monkeypatch, fresh_testset):
     # the benchmark's library session reads its table counts off the tables
-    # residual_table returns: N grows, then another method reuses the table
+    # residual_table returns: N grows, then another method reuses the table;
+    # a test set built per call holds the same evaluators, so it hits too
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -67,9 +71,28 @@ def test_trace_counts_a_growing_probe_session(monkeypatch):
             (MethodSpec("strong_wp", p=2.0), 40)]
     with tracing.instrumented(tracing.Tracer()) as tr:
         for method, N in plan:
+            if fresh_testset:
+                testset = KorovkinTestSet.algebraic()
             korovkin.korovkin_probe(ops, method, testset, probes, N=N, tau=0.05)
     assert tr.counts["operators.table_indices_built"] == 40
     assert tr.counts["operators.table_misses"] == 2
     assert tr.counts["operators.table_hits"] == 1
     # and the operator really ran once per index
     assert tr.totals()["operators.bernstein_dense"][2] == 40
+
+
+@pytest.mark.parametrize("name", ["cesaro-matrix", "almost-alternating"])
+def test_averaging_scenarios_build_their_stack_at_once(monkeypatch, name):
+    # each runner plots one curve from one value stack: no function object
+    # per term beyond the limit and the sampled inputs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg, errors = cli.validate_config({"scenario": name})
+    assert errors == []
+    with tracing.instrumented(tracing.Tracer()) as tr:
+        result = scenarios.REGISTRY[name].runner(cfg)
+    assert result.matched
+    spans = tr.totals()
+    assert spans["summability.method_curve"][2] == 1
+    assert spans.get("funcspace.sampled_function", (0.0, 0.0, 0))[2] <= 2

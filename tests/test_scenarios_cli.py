@@ -153,9 +153,10 @@ class TestValidation:
          "missing key 'rows' in matrix"),
         ({"kind": "f_strong", "modulus": {}}, "missing key 'name' in modulus"),
         ({"epsilon": 0.5}, "missing key 'kind'"),
+        ({"kind": "norm", "epsilon": "x", "p": -3}, "norm does not read 'epsilon'"),
     ], ids=["epsilon-inf", "p-inf", "n_max-fraction", "epsilon-true", "n_max-true",
             "p-string", "rows-nan", "rows-missing", "modulus-name-missing",
-            "kind-missing"])
+            "kind-missing", "unread-field"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_method_number_or_key_rejected(self, method, error, command,
                                                tmp_path, capsys):
@@ -232,11 +233,16 @@ class TestScenarioRuns:
         assert "condition (iii)" in summary
         assert "doubled-cesaro" in summary
 
-    def test_unknown_matrix_is_config_error(self, tmp_path):
-        cfg, _ = validate_config({"scenario": "regularity-audit",
-                                  "operator": "hilbert",
-                                  "output_dir": str(tmp_path / "reg")})
-        assert run(cfg) == 1
+    def test_unknown_matrix_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "regularity-audit", "operator": "volterra",
+                                 "output_dir": str(tmp_path / "reg")}))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(p)]) == 1
+            assert capsys.readouterr().err == (
+                "error: operator: unknown matrix 'volterra'; "
+                "choose from cesaro, doubled-cesaro, identity\n")
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_deterministic_outputs(self, tmp_path):
         _, out_a = run_scenario("cesaro-matrix", tmp_path / "a")

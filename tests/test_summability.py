@@ -34,7 +34,6 @@ from korovkin_lab.summability import (
     is_modulus,
     matrix_from_values,
     method_curve,
-    norm_residual_array,
     residual,
     statistical_from_norms,
     strong_wp_from_norms,
@@ -44,57 +43,88 @@ GRID = Grid.unit(50)
 ZERO = constant(0.0, GRID)
 
 
-def square_spiked(k: int):
-    """1 at perfect-square indices, 1/k elsewhere (as a constant function)."""
-    r = math.isqrt(k)
-    return constant(1.0 if r * r == k else 1.0 / k, GRID)
+def harmonic(N: int) -> np.ndarray:
+    """Residual norms 1/k for k = 1..N."""
+    return 1.0 / np.arange(1, N + 1)
 
 
-def harmonic(k: int):
-    return constant(1.0 / k, GRID)
+def square_spiked(N: int) -> np.ndarray:
+    """Residual norms 1 at the perfect squares, 1/k elsewhere, k = 1..N."""
+    r = harmonic(N)
+    r[np.arange(1, math.isqrt(N) + 1) ** 2 - 1] = 1.0
+    return r
+
+
+def alternating(N: int, offset: float = 0.0) -> np.ndarray:
+    """Value stack whose term k is the constant offset + (-1)^k, k = 1..N."""
+    return np.repeat(offset + (-1.0) ** np.arange(1, N + 1)[:, None], GRID.n_nodes,
+                     axis=1)
 
 
 class TestScalarResiduals:
     def test_norm_residual(self):
-        assert norm_residual_array(harmonic, ZERO, 4)[3] == 0.25
+        # the identity matrix's row n reads the single residual at n
+        pick = MethodSpec("a_strong", matrix=identity_matrix())
+        assert residual(pick, harmonic(4), None, 4) == 0.25
 
     def test_statistical_counts_square_exceedances(self):
         # exceedances over eps=0.5 are exactly the isqrt(N) squares
         for N in (100, 2000, 10000):
             stat = MethodSpec("statistical", epsilon=0.5)
-            assert residual(stat, square_spiked, ZERO, N) == math.isqrt(N) / N
+            assert residual(stat, square_spiked(N), None, N) == math.isqrt(N) / N
 
     def test_statistical_strict_inequality(self):
         r = np.array([0.5, 0.5 + 1e-9, 0.1, 0.9])
         assert statistical_from_norms(r, 0.5, 4) == 0.5
 
     def test_strong_wp_is_power_mean(self):
-        r = norm_residual_array(harmonic, ZERO, 100)
+        r = harmonic(100)
         expect = sum((1.0 / k) ** 2 for k in range(1, 101)) / 100
         assert strong_wp_from_norms(r, 2.0, 100) == pytest.approx(expect, rel=1e-14)
 
     def test_offset_reindexes(self):
         # the identity matrix's row n reads the single residual at n + n0
         pick = MethodSpec("a_strong", matrix=identity_matrix())
-        assert residual(pick, harmonic, ZERO, 5, n0=10) == pytest.approx(1 / 15)
-        assert residual(pick, harmonic, ZERO, 1, n0=3) == 0.25
+        assert residual(pick, harmonic(15), None, 5, n0=10) == pytest.approx(1 / 15)
+        assert residual(pick, harmonic(4), None, 1, n0=3) == 0.25
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            residual(MethodSpec("statistical", epsilon=0.0), harmonic, ZERO, 10)
+            residual(MethodSpec("statistical", epsilon=0.0), harmonic(10), None, 10)
         with pytest.raises(ValueError):
-            residual(MethodSpec("strong_wp", p=-1.0), harmonic, ZERO, 10)
+            residual(MethodSpec("strong_wp", p=-1.0), harmonic(10), None, 10)
+
+    @pytest.mark.parametrize("method", [MethodSpec("statistical", epsilon=0.5),
+                                        MethodSpec("strong_wp", p=1.0)],
+                             ids=["statistical", "strong_wp"])
+    def test_short_table_rejected(self, method):
+        # read short, the curve would end at 31/3000 (statistical) or the mean
+        # of the first 1000 norms (strong_wp) instead of failing
+        r = square_spiked(3000)
+        with pytest.raises(ValueError, match=f"^{method.kind} at n=3000 reads 3000 "
+                                             "table rows, the table has 1000$"):
+            residual(method, r[:1000], None, 3000)
+        with pytest.raises(ValueError, match="the table has 1000"):
+            method_curve(method, r[:1000], N=3000, tau=0.05)
+
+    def test_offset_counts_toward_table_rows(self):
+        pick = MethodSpec("a_strong", matrix=identity_matrix())
+        with pytest.raises(ValueError, match="reads 16 table rows, the table has 15"):
+            residual(pick, harmonic(15), None, 5, n0=11)
+        almost = MethodSpec("almost", almost_n_max=50)
+        with pytest.raises(ValueError, match="reads 60 table rows, the table has 59"):
+            residual(almost, alternating(59), ZERO, 10)
 
 
 class TestMatrixMethods:
     def test_cesaro_row_reduces_to_mean(self):
-        r = norm_residual_array(square_spiked, ZERO, 1500)
+        r = square_spiked(1500)
         diff = abs(a_strong_from_norms(r, cesaro_matrix(), 1500)
                    - strong_wp_from_norms(r, 1.0, 1500))
         assert diff <= 1e-12
 
     def test_identity_row_reduces_to_norm(self):
-        r = norm_residual_array(harmonic, ZERO, 50)
+        r = harmonic(50)
         assert a_strong_from_norms(r, identity_matrix(), 37) == r[36]
 
     def test_zero_row_gives_zero(self):
@@ -109,9 +139,8 @@ class TestMatrixMethods:
         assert a_statistical_from_norms(r, A, 0.5, 1) == 0.0
 
     def test_residual_a_strong_matches_array_path(self):
-        direct = residual(MethodSpec("a_strong", matrix=cesaro_matrix()),
-                          square_spiked, ZERO, 200)
-        r = norm_residual_array(square_spiked, ZERO, 200)
+        r = square_spiked(200)
+        direct = residual(MethodSpec("a_strong", matrix=cesaro_matrix()), r, None, 200)
         assert direct == pytest.approx(a_strong_from_norms(r, cesaro_matrix(), 200),
                                        rel=1e-14)
 
@@ -135,14 +164,14 @@ class TestMatrixMethods:
 
 class TestIdeals:
     def test_zero_density_matches_statistical(self):
-        r = norm_residual_array(square_spiked, ZERO, 2000)
+        r = square_spiked(2000)
         ideal = IdealSpec("zero_density")
         assert ideal_from_norms(r, ideal, 0.5, 2000) == \
             statistical_from_norms(r, 0.5, 2000)
 
     def test_finite_sets_tail_count(self):
         # squares in (1000, 2000]: 32^2 .. 44^2, thirteen of them, over N/2
-        r = norm_residual_array(square_spiked, ZERO, 2000)
+        r = square_spiked(2000)
         assert ideal_from_norms(r, IdealSpec("finite_sets"), 0.5, 2000) == 13 / 1000
 
     def test_custom_density(self):
@@ -162,7 +191,7 @@ class TestModulusMethods:
         N = 10_000
         H = sum(1.0 / k for k in range(1, N + 1))
         got = residual(MethodSpec("f_strong", modulus=SHIPPED_MODULI["sqrt"]),
-                       harmonic, ZERO, N)
+                       harmonic(N), None, N)
         assert got == pytest.approx(math.sqrt(H) / 100.0, rel=1e-12)
 
     def test_identity_modulus_reduces_to_statistical(self):
@@ -247,50 +276,48 @@ class TestVerdicts:
 
 class TestCurves:
     def test_norm_curve_tracks_tail_supremum(self):
-        c = method_curve(MethodSpec("norm"), seq=square_spiked, L=ZERO,
-                         N=3000, tau=0.05)
+        c = method_curve(MethodSpec("norm"), square_spiked(3000), N=3000, tau=0.05)
         # every tail window (n/3, n] contains a perfect square
         assert all(v == 1.0 for _, v in c.points)
         assert c.verdict == VERDICT_INCONSISTENT
 
     def test_statistical_curve_consistent_on_spikes(self):
-        c = method_curve(MethodSpec("statistical", epsilon=0.5),
-                         seq=square_spiked, L=ZERO, N=3000, tau=0.05)
+        c = method_curve(MethodSpec("statistical", epsilon=0.5), square_spiked(3000),
+                         N=3000, tau=0.05)
         assert c.verdict == VERDICT_CONSISTENT
         assert c.points[-1] == (3000, math.isqrt(3000) / 3000)
 
     @pytest.mark.parametrize("n0", [0, 3, 10])
     def test_verdicts_offset_invariant(self, n0):
-        stat = method_curve(MethodSpec("statistical", epsilon=0.5),
-                            seq=square_spiked, L=ZERO, N=3000, tau=0.05, n0=n0)
-        norm = method_curve(MethodSpec("norm"), seq=square_spiked, L=ZERO,
+        r = square_spiked(3000 + n0)
+        stat = method_curve(MethodSpec("statistical", epsilon=0.5), r,
                             N=3000, tau=0.05, n0=n0)
+        norm = method_curve(MethodSpec("norm"), r, N=3000, tau=0.05, n0=n0)
         assert stat.verdict == VERDICT_CONSISTENT
         assert norm.verdict == VERDICT_INCONSISTENT
 
     def test_matrix_curve_on_alternating(self):
         # Cesaro means of 2 + (-1)^k hit the limit exactly at even rows
         L = constant(2.0, GRID)
-        seq = lambda k: constant(2.0 + (-1.0) ** k, GRID)
         even = [2 * n for n in curve_indices(250)]
         c = method_curve(MethodSpec("matrix", matrix=cesaro_matrix()),
-                         seq=seq, L=L, N=500, tau=0.01, indices=even)
+                         alternating(500, offset=2.0), L, N=500, tau=0.01,
+                         indices=even)
         assert c.verdict == VERDICT_CONSISTENT
         assert max(v for _, v in c.points) <= 1e-12
 
     def test_almost_curve_on_alternating(self):
-        seq = lambda k: constant((-1.0) ** k, GRID)
         even = [m for m in range(10, 1001, 2)][::12]
         m = MethodSpec("almost", almost_n_max=100)
-        c = method_curve(m, seq=seq, L=ZERO, N=1000, tau=0.01, indices=even)
+        c = method_curve(m, alternating(even[-1] + 100), ZERO, N=1000, tau=0.01,
+                         indices=even)
         # residual at even window length m is exactly 1/(m+1)
         for mm, v in c.points:
             assert v == pytest.approx(1.0 / (mm + 1), abs=1e-14)
         assert c.verdict == VERDICT_CONSISTENT
 
     def test_curve_csv_format(self):
-        c = method_curve(MethodSpec("norm"), seq=harmonic, L=ZERO,
-                         N=100, tau=0.1)
+        c = method_curve(MethodSpec("norm"), harmonic(100), N=100, tau=0.1)
         lines = c.to_csv().strip().splitlines()
         assert lines[0] == "n,residual"
         n, v = lines[1].split(",")
@@ -300,16 +327,14 @@ class TestCurves:
 
 class TestAlmost:
     def test_alternating_exact_value(self):
-        seq = lambda k: constant((-1.0) ** k, GRID)
         spec = MethodSpec("almost", almost_n_max=500)
         for m in (10, 100, 1000):
-            got = residual(spec, seq, ZERO, m)
+            got = residual(spec, alternating(m + 500), ZERO, m)
             assert got == pytest.approx(1.0 / (m + 1), abs=1e-13)
 
     def test_odd_window_cancels(self):
-        seq = lambda k: constant((-1.0) ** k, GRID)
         spec = MethodSpec("almost", almost_n_max=50)
-        assert residual(spec, seq, ZERO, 11) <= 1e-14
+        assert residual(spec, alternating(61), ZERO, 11) <= 1e-14
 
     def test_short_stack_rejected(self):
         V = np.zeros((5, GRID.n_nodes))
@@ -329,6 +354,17 @@ class TestMethodSpec:
             MethodSpec("a_strong")             # missing matrix
         with pytest.raises(ValueError):
             MethodSpec("almost")               # missing n_max
+
+    @pytest.mark.parametrize("spec,field", [
+        (dict(kind="norm", epsilon=0.5), "epsilon"),
+        (dict(kind="strong_wp", p=2.0, epsilon=0.5), "epsilon"),
+        (dict(kind="statistical", epsilon=0.5, matrix=cesaro_matrix()), "matrix"),
+        (dict(kind="matrix", matrix=cesaro_matrix(), almost_n_max=5), "almost_n_max"),
+    ], ids=["norm-epsilon", "strong_wp-epsilon", "statistical-matrix",
+            "matrix-n_max"])
+    def test_unread_field_rejected(self, spec, field):
+        with pytest.raises(ValueError, match=f"^{spec['kind']} does not read {field!r}$"):
+            MethodSpec(**spec)
 
     def test_json_round_trip(self):
         m = MethodSpec("f_statistical", epsilon=0.5,
