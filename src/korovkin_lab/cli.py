@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .operators import MAX_BERNSTEIN_INDEX
-from .scenarios import REGISTRY, ScenarioResult
+from .scenarios import REGISTRY, ScenarioResult, probe_depth
 from .summability import NAMED_MATRICES, MethodSpec
 
 
@@ -118,6 +118,11 @@ def validate_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     cfg = ExperimentConfig(scenario=scenario, method=method, operator=operator,
                            N=N, tau=tau, epsilon=epsilon, grid_m=grid_m,
                            seed=seed, output_dir=output_dir, n0=n0)
+    if "method" in entry.reads:   # a custom matrix must define the rows a probe reads
+        try:
+            probe_depth(cfg)
+        except ValueError as exc:
+            return None, [f"method: {exc}"]
     depth = entry.bernstein_depth(cfg) if entry.bernstein_depth else 0
     if depth > MAX_BERNSTEIN_INDEX:
         return None, [f"{'n0' if n0 else 'N'}: the run reaches Bernstein index "

@@ -286,10 +286,10 @@ def _squeeze_norm_sequences(C: float, seed: int, N: int):
     perfect squares, and a dominated fourth: d_k = C*(a+b+c)_k*u_k."""
     rng = np.random.default_rng(seed)
     ks = np.arange(1, N + 1)
+    squares = np.arange(1, math.isqrt(N) + 1) ** 2
     abc = []
     for _ in range(3):
         r = rng.uniform(0.2, 1.0, N) / ks
-        squares = np.array([j * j for j in range(1, math.isqrt(N) + 1)])
         r[squares - 1] += rng.uniform(0.5, 1.5, len(squares))
         abc.append(r)
     a, b, c = abc
@@ -297,28 +297,28 @@ def _squeeze_norm_sequences(C: float, seed: int, N: int):
     return a, b, c, d
 
 
-def squeeze_trial_norm(method: MethodSpec, C: float, seed: int, N: int = 1000,
-                       tamper: bool = False, n0: int = 0) -> SqueezeReport:
-    """One randomized trial of the norm-squeeze property.
+def squeeze_trial_norm(methods: Sequence[MethodSpec], C: float, seed: int,
+                       N: int = 1000, tamper: bool = False,
+                       n0: int = 0) -> list[SqueezeReport]:
+    """One randomized trial of the norm-squeeze property, one report per
+    method in order.
 
     Seeds three convergent sequences x, y, z and a fourth w dominated by
-    C*(sum of the three residual norms); asserts the finite-N form of the
-    squeeze given by the kind's ``norm_squeeze`` form in ``KINDS``: a
-    union-bound set inclusion at threshold epsilon/(3C) for the count-based
-    kinds (the method's epsilon), a weighted linear inequality for the
-    strong kinds.
+    C*(sum of the three residual norms), once for all methods; asserts for
+    each the finite-N form of the squeeze given by the kind's
+    ``norm_squeeze`` form in ``KINDS``: a union-bound set inclusion at
+    threshold epsilon/(3C) for the count-based kinds (the method's epsilon),
+    a weighted linear inequality for the strong kinds.
     ``tamper=True`` plants one domination violation and must be reported as
     a hypothesis failure, not a method failure.
     """
-    kind = method.kind
-    squeeze = KINDS[kind].norm_squeeze
-    if squeeze is None:
-        raise ValueError(f"method kind {kind!r} does not support the norm squeeze")
+    unsupported = [m.kind for m in methods if KINDS[m.kind].norm_squeeze is None]
+    if unsupported:
+        raise ValueError(f"method kind {unsupported[0]!r} does not support "
+                         "the norm squeeze")
     if C <= 0:
         raise ValueError("C must be positive")
-    a, b, c, d = _squeeze_norm_sequences(C, seed, N + n0)
-    if n0:
-        a, b, c, d = a[n0:], b[n0:], c[n0:], d[n0:]
+    a, b, c, d = (x[n0:] for x in _squeeze_norm_sequences(C, seed, N + n0))
     if tamper:
         j = N // 2
         d[j] = C * (a[j] + b[j] + c[j]) + 0.5
@@ -327,15 +327,17 @@ def squeeze_trial_norm(method: MethodSpec, C: float, seed: int, N: int = 1000,
     # as such and the squeeze assertion is skipped
     excess = d - C * (a + b + c)
     if np.any(excess > 1e-12 * (1.0 + np.max(d))):
-        j = int(np.argmax(excess))
-        return SqueezeReport(kind, C, seed, STATUS_HYPOTHESIS,
-                             f"domination fails at index {j + 1}")
+        detail = f"domination fails at index {int(np.argmax(excess)) + 1}"
+        return [SqueezeReport(m.kind, C, seed, STATUS_HYPOTHESIS, detail)
+                for m in methods]
 
-    bad = squeeze(method, a, b, c, d, C, N)
-    if len(bad):
-        return SqueezeReport(kind, C, seed, STATUS_FAIL,
-                             f"squeeze inequality fails at index {int(bad[0]) + 1}")
-    return SqueezeReport(kind, C, seed, STATUS_PASS)
+    reports = []
+    for method in methods:
+        bad = KINDS[method.kind].norm_squeeze(method, a, b, c, d, C, N)
+        status, detail = (STATUS_FAIL, f"squeeze inequality fails at index "
+                          f"{int(bad[0]) + 1}") if len(bad) else (STATUS_PASS, "")
+        reports.append(SqueezeReport(method.kind, C, seed, status, detail))
+    return reports
 
 
 def squeeze_trial_order(method: MethodSpec, C: float, seed: int, N: int = 200,

@@ -278,11 +278,14 @@ def run_squeeze_audit(cfg) -> ScenarioResult:
     C, seeds = 2.0, 200
     verdicts, expected = {}, {}
     lines = [f"squeeze-audit: {seeds} seeds per kind, C={C}, N={cfg.N}"]
-    for kind, make in SQUEEZE_NORM_METHODS.items():
-        method = make()
-        statuses = {squeeze_trial_norm(method, C, s, N=cfg.N, n0=cfg.n0).status
-                    for s in range(seeds)}
-        verdicts[f"norm_{kind}"] = "pass" if statuses == {STATUS_PASS} else "fail"
+    methods = [make() for make in SQUEEZE_NORM_METHODS.values()]
+    seen = {kind: set() for kind in SQUEEZE_NORM_METHODS}
+    for s in range(seeds):   # one draw per seed, read by every kind
+        for kind, rep in zip(seen, squeeze_trial_norm(methods, C, s, N=cfg.N,
+                                                      n0=cfg.n0)):
+            seen[kind].add(rep.status)
+    for kind in SQUEEZE_NORM_METHODS:
+        verdicts[f"norm_{kind}"] = "pass" if seen[kind] == {STATUS_PASS} else "fail"
         expected[f"norm_{kind}"] = "pass"
         lines.append(f"  norm squeeze [{kind}] -> {verdicts[f'norm_{kind}']}")
     for label, method in (("almost", MethodSpec("almost", almost_n_max=50)),
@@ -294,8 +297,8 @@ def run_squeeze_audit(cfg) -> ScenarioResult:
         verdicts[f"order_{label}"] = "pass" if statuses == {STATUS_PASS} else "fail"
         expected[f"order_{label}"] = "pass"
         lines.append(f"  order squeeze [{label}] -> {verdicts[f'order_{label}']}")
-    control = squeeze_trial_norm(MethodSpec("statistical", epsilon=0.5),
-                                 C, cfg.seed, N=cfg.N, tamper=True)
+    control, = squeeze_trial_norm([MethodSpec("statistical", epsilon=0.5)],
+                                  C, cfg.seed, N=cfg.N, tamper=True)
     verdicts["tamper_control"] = control.status
     expected["tamper_control"] = STATUS_HYPOTHESIS
     lines.append(f"  planted violation -> {control.status}")
@@ -349,8 +352,8 @@ class ScenarioEntry:
     reads: tuple[str, ...] = ()
 
 
-def _probe_depth(cfg) -> int:
-    # the probe's index ladder ends at N
+def probe_depth(cfg) -> int:
+    # the method's rows at N, where the probe's index ladder ends
     method = _method(cfg)
     return cfg.n0 + KINDS[method.kind].rows(method, [cfg.N])
 
@@ -363,7 +366,7 @@ REGISTRY: dict[str, ScenarioEntry] = {
     "bernstein-classical": ScenarioEntry(
         run_bernstein_classical,
         "polynomial operators, sup-norm method, algebraic test set",
-        {"N": 200, "tau": 0.02, "grid_m": 200}, _probe_depth, reads=("method",)),
+        {"N": 200, "tau": 0.02, "grid_m": 200}, probe_depth, reads=("method",)),
     "statistical-counterexample": ScenarioEntry(
         run_statistical_counterexample,
         "square-modulated operators: norm-divergent, density-convergent",

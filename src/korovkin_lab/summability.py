@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import SampledFunction, sup_values
+from .funcspace import SampledFunction, evaluate, sup_values
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
@@ -305,18 +305,13 @@ def strong_wp_from_norms(r: np.ndarray, p: float, N: int) -> float:
 
 def a_strong_from_norms(r: np.ndarray, A: MatrixSpec, n: int) -> float:
     j, a = A.row_entries(n)
-    if len(j) and j.max() > len(r):
-        raise ValueError(f"row {n} of {A.name!r} needs residuals beyond index {len(r)}")
-    return float(a @ r[j - 1]) if len(j) else 0.0
+    return float(a @ r[j - 1])
 
 
 def a_statistical_from_norms(r: np.ndarray, A: MatrixSpec, epsilon: float,
                              n: int) -> float:
     j, a = A.row_entries(n)
-    if len(j) == 0:
-        return 0.0
-    exceed = r[j - 1] >= epsilon
-    return float(a[exceed].sum())
+    return float(a[r[j - 1] >= epsilon].sum())
 
 
 def f_statistical_from_norms(r, modulus: ModulusSpec, epsilon: float, N: int) -> float:
@@ -367,10 +362,6 @@ def _window_average(spec: "MethodSpec", V: np.ndarray) -> Callable[[int], np.nda
 
 def matrix_from_values(V: np.ndarray, A: MatrixSpec, n: int) -> np.ndarray:
     j, a = A.row_entries(n)
-    if len(j) == 0:
-        return np.zeros(V.shape[1])
-    if j.max() > len(V):
-        raise ValueError(f"row {n} of {A.name!r} needs values beyond index {len(V)}")
     return a @ V[j - 1]
 
 
@@ -401,7 +392,7 @@ def _power_mean_violations(spec, a, b, c, d, C, N):
 
 def _modulus_violations(spec, a, b, c, d, C, N):
     """Modulus form: f(sum d) <= ceil(C) (f(sum a) + f(sum b) + f(sum c))."""
-    f = lambda x: np.array([float(spec.modulus.eval(s)) for s in np.cumsum(x)])
+    f = lambda x: evaluate(spec.modulus, np.cumsum(x))
     lhs, rhs = f(d), math.ceil(C) * (f(a) + f(b) + f(c))
     return np.flatnonzero(lhs > rhs + 1e-12 * (1.0 + np.abs(rhs)))
 
@@ -417,14 +408,17 @@ def _a_strong_row_violations(A: MatrixSpec, a, b, c, d, C: float, N: int) -> np.
     elif A.row is _identity_row:
         lhs, rhs = d, C * s
     else:
-        lhs = np.empty(N)
-        rhs = np.empty(N)
-        for n in range(1, N + 1):
-            j, w = A.row_entries(n)
-            lhs[n - 1] = w @ d[j - 1] if len(j) else 0.0
-            rhs[n - 1] = C * (w @ s[j - 1]) if len(j) else 0.0
+        rows = [A.row_entries(n) for n in range(1, N + 1)]
+        lhs = np.array([w @ d[j - 1] for j, w in rows])
+        rhs = C * np.array([w @ s[j - 1] for j, w in rows])
     scale = 1.0 + np.abs(rhs)
     return np.flatnonzero(lhs > rhs + 1e-10 * scale)
+
+
+def _row_support(spec: "MethodSpec", ns: Sequence[int]) -> int:
+    """Table rows that the matrix rows ns read: the largest column, or n
+    where that is larger."""
+    return max(int(np.max(spec.matrix.row_entries(n)[0], initial=n)) for n in ns)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +481,11 @@ KINDS: dict[str, Kind] = {
         norm_squeeze=_power_mean_violations),
     "a_statistical": Kind(
         lambda s, r, L, n: a_statistical_from_norms(r, s.matrix, s.epsilon, n),
-        fields=("epsilon", "matrix"),
+        fields=("epsilon", "matrix"), rows=_row_support,
         norm_squeeze=_union_bound(operator.ge)),
     "a_strong": Kind(
         lambda s, r, L, n: a_strong_from_norms(r, s.matrix, n),
-        fields=("matrix",),
+        fields=("matrix",), rows=_row_support,
         norm_squeeze=lambda s, a, b, c, d, C, N:
             _a_strong_row_violations(s.matrix, a, b, c, d, C, N)),
     "f_statistical": Kind(
@@ -510,7 +504,7 @@ KINDS: dict[str, Kind] = {
     "matrix": Kind(
         lambda s, V, L, n: sup_values(matrix_from_values(V, s.matrix, n) - L.values,
                                       L.grid.periodic),
-        fields=("matrix",),
+        fields=("matrix",), rows=_row_support,
         reads_values=True,
         average=lambda s, V: lambda n: matrix_from_values(V, s.matrix, n)),
 }
@@ -568,16 +562,12 @@ def check_regularity(A: MatrixSpec, N: int, row_sum_cap: float = 10.0,
                      n_columns: int = 20) -> RegularityReport:
     """Finite-N audit of the three regularity conditions: bounded row sums,
     vanishing columns, row sums tending to 1."""
-    sums = np.empty(N)
-    for n in range(1, N + 1):
-        _, a = A.row_entries(n)
-        sums[n - 1] = a.sum()
+    sums = np.array([A.row_entries(n)[1].sum() for n in range(1, N + 1)])
     half = max(N // 2, 1)
 
     def entry(n, col):
         j, a = A.row_entries(n)
-        hit = np.flatnonzero(j == col)
-        return float(a[hit[0]]) if len(hit) else 0.0
+        return float(a[j == col].sum())
 
     cols = []
     col_ok = True

@@ -110,7 +110,7 @@ def test_acceptance_03_union_bound_squeeze():
     for C in (1.0, 2.0, 10.0):
         for seed in range(seeds_per_C):
             # zero-tolerance set inclusion at threshold epsilon/(3C)
-            rep = squeeze_trial_norm(method, C, seed, N=400)
+            rep, = squeeze_trial_norm([method], C, seed, N=400)
             assert rep.status == "pass", rep
     _stamp(3, start, 20.0)
 
@@ -127,8 +127,8 @@ def test_acceptance_04_matrix_strong_squeeze():
                 lhs = float(w @ d[j - 1])
                 rhs = C * float(w @ s[j - 1])
                 assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))
-            rep = squeeze_trial_norm(MethodSpec("a_strong", matrix=A),
-                                     C, seed, N=N)
+            rep, = squeeze_trial_norm([MethodSpec("a_strong", matrix=A)],
+                                      C, seed, N=N)
             assert rep.status == "pass"
     _stamp(4, start, 20.0)
 

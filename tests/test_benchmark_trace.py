@@ -96,3 +96,17 @@ def test_averaging_scenarios_build_their_stack_at_once(monkeypatch, name):
     spans = tr.totals()
     assert spans["summability.method_curve"][2] == 1
     assert spans.get("funcspace.sampled_function", (0.0, 0.0, 0))[2] <= 2
+
+
+def test_squeeze_audit_draws_once_per_seed(monkeypatch):
+    # the benchmark's korovkin.squeeze_trial_norm span covers the whole norm
+    # audit: one call per seed for all kinds, plus the planted-violation control
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg, errors = cli.validate_config({"scenario": "squeeze-audit"})
+    assert errors == []
+    with tracing.instrumented(tracing.Tracer()) as tr:
+        result = scenarios.REGISTRY["squeeze-audit"].runner(cfg)
+    assert result.matched
+    assert tr.totals()["korovkin.squeeze_trial_norm"][2] == 201

@@ -26,10 +26,12 @@ from korovkin_lab.summability import (
     IdealSpec,
     MatrixSpec,
     MethodSpec,
+    ModulusSpec,
     SHIPPED_MODULI,
     VERDICT_CONSISTENT,
     VERDICT_INCONSISTENT,
     _a_strong_row_violations,
+    _modulus_violations,
     cesaro_matrix,
     identity_matrix,
 )
@@ -230,6 +232,14 @@ def a_strong_rows_generic(A, a, b, c, d, C, N):
     return np.array(bad, dtype=int)
 
 
+def modulus_violations_scalar(modulus, a, b, c, d, C):
+    """Scalar-loop oracle for the modulus form: 0-based indices where
+    f(sum d) > ceil(C) (f(sum a) + f(sum b) + f(sum c)), one call per sum."""
+    f = lambda x: np.array([float(modulus(float(s))) for s in np.cumsum(x)])
+    lhs, rhs = f(d), math.ceil(C) * (f(a) + f(b) + f(c))
+    return np.flatnonzero(lhs > rhs + 1e-12 * (1.0 + np.abs(rhs)))
+
+
 NORM_METHODS = [
     MethodSpec("statistical", epsilon=0.5),
     MethodSpec("ideal", epsilon=0.5, ideal=IdealSpec("zero_density")),
@@ -245,23 +255,64 @@ class TestSqueezeNorm:
     @pytest.mark.parametrize("method", NORM_METHODS, ids=lambda m: m.kind)
     def test_hundred_seeds_pass(self, method):
         for seed in range(100):
-            assert squeeze_trial_norm(method, 2.0, seed, N=500).status == STATUS_PASS
+            assert squeeze_trial_norm([method], 2.0, seed, N=500)[0].status == STATUS_PASS
 
     @pytest.mark.parametrize("C", [1.0, 2.0, 10.0])
     def test_statistical_inclusion_across_constants(self, C):
         m = MethodSpec("statistical", epsilon=0.5)
         for seed in range(50):
-            assert squeeze_trial_norm(m, C, seed, N=500).status == STATUS_PASS
+            assert squeeze_trial_norm([m], C, seed, N=500)[0].status == STATUS_PASS
 
     def test_tamper_reports_hypothesis_violation(self):
         m = MethodSpec("statistical", epsilon=0.5)
-        r = squeeze_trial_norm(m, 2.0, 3, N=500, tamper=True)
+        r, = squeeze_trial_norm([m], 2.0, 3, N=500, tamper=True)
         assert r.status == STATUS_HYPOTHESIS
         assert "index" in r.detail
 
     def test_unsupported_kind_named(self):
         with pytest.raises(ValueError, match="norm"):
-            squeeze_trial_norm(MethodSpec("norm"), 1.0, 0)
+            squeeze_trial_norm([MethodSpec("norm")], 1.0, 0)
+
+    @pytest.mark.parametrize("n0", [0, 3])
+    def test_shared_draw_matches_one_call_per_method(self, n0):
+        for seed in range(50):
+            shared = squeeze_trial_norm(NORM_METHODS, 2.0, seed, N=500, n0=n0)
+            single = [squeeze_trial_norm([m], 2.0, seed, N=500, n0=n0)[0]
+                      for m in NORM_METHODS]
+            assert shared == single
+            assert [r.method_kind for r in shared] == [m.kind for m in NORM_METHODS]
+
+    def test_tamper_does_not_leak_into_the_next_trial(self):
+        tampered = squeeze_trial_norm(NORM_METHODS, 2.0, 7, N=500, tamper=True)
+        assert {r.status for r in tampered} == {STATUS_HYPOTHESIS}
+        plain = squeeze_trial_norm(NORM_METHODS, 2.0, 7, N=500)
+        assert {r.status for r in plain} == {STATUS_PASS}
+
+    def test_unsupported_kind_raises_before_the_draw(self, monkeypatch):
+        from korovkin_lab import korovkin
+
+        def no_draw(*args):
+            raise AssertionError("drew sequences before checking the kinds")
+
+        monkeypatch.setattr(korovkin, "_squeeze_norm_sequences", no_draw)
+        with pytest.raises(ValueError, match="'almost'"):
+            squeeze_trial_norm(NORM_METHODS + [MethodSpec("almost", almost_n_max=5)],
+                               2.0, 0)
+
+    @pytest.mark.parametrize("modulus", list(SHIPPED_MODULI.values())
+                             + [ModulusSpec("m", math.log1p)],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("C", [0.5, 2.0])
+    def test_modulus_form_matches_scalar_oracle(self, modulus, C):
+        spec = MethodSpec("f_strong", modulus=modulus)
+        for seed in range(20):
+            a, b, c, d = _squeeze_norm_sequences(C, seed, 1000)
+            ref = modulus_violations_scalar(modulus, a, b, c, d, C)
+            assert np.array_equal(_modulus_violations(spec, a, b, c, d, C, 1000), ref)
+        d[37] += 1e12   # planted: the index sets must not be empty
+        ref = modulus_violations_scalar(modulus, a, b, c, d, C)
+        assert len(ref) > 0
+        assert np.array_equal(_modulus_violations(spec, a, b, c, d, C, 1000), ref)
 
     def test_a_strong_fast_paths_match_generic(self):
         a, b, c, d = _squeeze_norm_sequences(2.0, 11, 300)

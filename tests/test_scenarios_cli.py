@@ -182,6 +182,39 @@ class TestValidation:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("kind", ["a_statistical", "a_strong", "matrix"])
+    def test_custom_rows_reading_past_n_run_on_real_residuals(self, kind, tmp_path,
+                                                              capsys):
+        # row n reads columns n and n + 1, so row 50 reads one term past N
+        rows = [[0.0] * (n - 1) + [0.5, 0.5] for n in range(1, 51)]
+        method = {"kind": kind, "matrix": {"name": "custom", "rows": rows}}
+        if kind == "a_statistical":
+            method["epsilon"] = 0.1
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "bernstein-classical", "N": 50,
+                                 "method": method,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert main(["validate", "--config", str(p)]) == 0
+        assert main(["run", "--config", str(p)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("scenario", ["bernstein-classical", "fejer-trig"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_custom_matrix_shorter_than_the_ladder(self, scenario, command,
+                                                   tmp_path, capsys):
+        rows = [[1.0 / n] * n for n in range(1, 41)]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": scenario, "N": 50,
+                                 "method": {"kind": "a_strong",
+                                            "matrix": {"name": "custom",
+                                                       "rows": rows}},
+                                 "output_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(p)]) == 1
+        assert capsys.readouterr().err == \
+            "error: method: custom matrix: row 50 undefined\n"
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_cap_error_exits_one(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"scenario": "statistical-counterexample",

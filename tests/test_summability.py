@@ -151,6 +151,27 @@ class TestMatrixMethods:
         out = matrix_from_values(V, cesaro_matrix(), 5)
         assert np.allclose(out, 3.0)
 
+    def test_rows_read_each_row_support(self):
+        # row n of this matrix reads columns n and n + 1
+        ahead = MatrixSpec("ahead", lambda n: [(n, 0.5), (n + 1, 0.5)])
+        for kind, extra in (("a_strong", {}), ("a_statistical", {"epsilon": 0.5}),
+                            ("matrix", {})):
+            spec = MethodSpec(kind, matrix=ahead, **extra)
+            assert KINDS[kind].rows(spec, [10, 50, 20]) == 51
+        empty = MethodSpec("a_strong", matrix=MatrixSpec("null", lambda n: []))
+        assert KINDS["a_strong"].rows(empty, [7]) == 7
+
+    @pytest.mark.parametrize("kind", ["a_strong", "a_statistical", "matrix"])
+    def test_short_table_for_custom_rows_is_value_error(self, kind):
+        rows = [[0.0] * (n - 1) + [0.5, 0.5] for n in range(1, 51)]
+        extra = {"epsilon": 0.5} if kind == "a_statistical" else {}
+        spec = MethodSpec.from_dict({"kind": kind, **extra,
+                                     "matrix": {"name": "custom", "rows": rows}})
+        table = np.ones((50, GRID.n_nodes)) if KINDS[kind].reads_values else np.ones(50)
+        with pytest.raises(ValueError, match="reads 51 table rows, the table has 50"):
+            residual(spec, table, ZERO, 50)
+        assert residual(spec, table[:-1], ZERO, 48) >= 0.0
+
     def test_declared_row_sum_guard(self):
         bad = MatrixSpec("lossy", lambda n: [(1, 0.5)], declared_row_sum=1.0)
         with pytest.raises(ValueError, match="declared"):
